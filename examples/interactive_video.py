@@ -38,8 +38,9 @@ def main() -> None:
     # bandwidth it has" while retrying at the next threshold crossing.
     print("\nsame source on a congested link:")
     link = RcbrLink(capacity=2 * trace.mean_rate)
-    link.request("static-background", 0.8 * trace.mean_rate, 0.0)
-    source = OnlineRcbrSource("live", OnlineParams(granularity=kbps(100)), link)
+    background, live = 0, 1  # link slots
+    link.request(background, 0.8 * trace.mean_rate, 0.0)
+    source = OnlineRcbrSource(live, OnlineParams(granularity=kbps(100)), link)
     result = source.run(workload)
     print(f"  requests made:   {result.requests_made}")
     print(f"  requests denied: {result.requests_denied}")

@@ -27,6 +27,7 @@ from repro.core.schedule import RateSchedule
 from repro.queueing.events import EventScheduler
 from repro.queueing.link import RcbrLink
 from repro.util.rng import SeedLike, as_generator
+from repro.util.slots import SlotInterner
 from repro.util.stats import (
     ConfidenceInterval,
     RelativePrecisionStopper,
@@ -182,6 +183,7 @@ class CallLevelSimulator:
 
         self.engine = EventScheduler()
         self.link = RcbrLink(capacity)
+        self._link_slots = SlotInterner()  # call id -> link slot
         self._ids = itertools.count()
         self._call_events: dict = {}
         self._denial_streak: dict = {}
@@ -257,11 +259,12 @@ class CallLevelSimulator:
         if admitted_at is not None:
             self._departed += 1
             self._call_seconds += self.engine.now - admitted_at
-        self.link.release(call_id, self.engine.now)
+        self.link.release(self._link_slots.release(call_id), self.engine.now)
         self.controller.on_departure(call_id, self.engine.now)
 
     def _request(self, call_id, new_rate: float, setup: bool) -> None:
-        old = self.link.grant_of(call_id)
+        slot = self._link_slots.intern(call_id)
+        old = self.link.grant_of(slot)
         is_increase = new_rate > old
         if is_increase and not setup:
             # Injected denial bursts hit renegotiations, not setup (setup
@@ -274,7 +277,7 @@ class CallLevelSimulator:
                 self._injected_denials += 1
                 self._note_denial(call_id)
                 return
-        outcome = self.link.request(call_id, new_rate, self.engine.now)
+        outcome = self.link.request(slot, new_rate, self.engine.now)
         if is_increase:
             self._increase_attempts += 1
             if outcome.failed:

@@ -81,9 +81,9 @@ class _ReservationTracker:
         """One epoch's renegotiation outcomes at once.
 
         Equivalent to one :meth:`on_reservation` per pair *provided
-        every call id is currently tracked* — the sharded gateway
-        guarantees that (stale completions are filtered before the
-        batch), and a plain ``dict.update`` is then identical to the
+        every call id is currently tracked* — the gateway guarantees
+        that (stale completions are filtered before the batch), and a
+        plain ``dict.update`` is then identical to the
         guarded per-call writes while being ~10x cheaper at the 1M-call
         scale's ~40k renegotiations per epoch.  Accepts numpy arrays;
         the ``tolist`` keeps the dict holding Python ints and floats,
@@ -124,7 +124,7 @@ class AlwaysAdmit:
         # admit/departure alone), and the rate-distribution snapshot
         # belongs to the measuring controllers.  Refreshing ~40k dict
         # values per epoch against a 1M-entry table is therefore pure
-        # overhead on the sharded gateway's realtime budget — skip it.
+        # overhead on the gateway's realtime budget — skip it.
         pass
 
     def on_departure(self, call_id, time: float) -> None:

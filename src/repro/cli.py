@@ -1140,8 +1140,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=0,
-        help="worker processes for the sharded runtime (0 = plain "
-             "single-process gateway; the fingerprint is identical "
+        help="worker processes for the fleet's kernel step (0 = inline "
+             "in the gateway process; the fingerprint is identical "
              "either way)",
     )
     serve.add_argument(
@@ -1295,9 +1295,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc_run.add_argument(
         "--shards", type=int, default=0,
-        help="sharded runtime worker count (any scenario shape; "
-             "multi-bottleneck specs shard each flow group's fleet; "
-             "0 = plain gateway, fingerprint-identical)",
+        help="worker processes for the fleet's kernel step (any "
+             "scenario shape; multi-bottleneck specs shard each flow "
+             "group's fleet; 0 = inline, fingerprint-identical)",
     )
     sc_run.add_argument(
         "--fault-plan", default=None,

@@ -111,7 +111,8 @@ class OnlineRcbrSource:
     ``recovery`` policy (:mod:`repro.faults.recovery`) turn the source
     into the hardened variant: overflow is counted as ``bits_lost`` and
     denials are handled by backoff / downgrade / drain instead of the
-    naive retry.
+    naive retry.  ``source_id`` is the source's slot on ``link`` (a
+    non-negative integer, unique among the link's live sources).
     """
 
     def __init__(

@@ -73,9 +73,7 @@ from repro.queueing.link import RcbrLink
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.server.config import ServerConfig
-from repro.server.fleet import CallFleet
 from repro.server.gateway import RcbrGateway, build_gateway
-from repro.server.sharded import ShardedFleet
 from repro.server.stats import ServerReport
 from repro.server.topology import (
     CallBinding,
@@ -90,6 +88,7 @@ from repro.signaling.topology import SignalingNetwork, _edge_key
 from repro.traffic.sources import make_source
 from repro.traffic.trace import SlottedWorkload
 from repro.util.rng import spawn_generators
+from repro.util.slots import SlotInterner
 
 #: Pool-slot encoding for event callbacks: ``group * STRIDE + slot``.
 GROUP_STRIDE = 1 << 20
@@ -279,6 +278,9 @@ class ScenarioGateway(RcbrGateway):
             self._route_paths, factory=self._path_for_route
         )
         self._bindings: Dict[int, CallBinding] = {}
+        # Call id -> the slot a call holds on every per-edge link, port
+        # and path: call ids grow without bound, slots are reused.
+        self._net_slots = SlotInterner()
 
         # Per-group Poisson arrival rates against the (k=1) shortest
         # route's bottleneck capacity — the same Erlang identity the
@@ -310,29 +312,10 @@ class ScenarioGateway(RcbrGateway):
     def _build_fleet(
         self, workload: SlottedWorkload, config: ServerConfig
     ) -> FleetStack:
-        if config.shards:
-            self._fleets = [
-                ShardedFleet(
-                    group_workload,
-                    self.params,
-                    buffer_size=config.buffer_bits,
-                    initial_capacity=256,
-                    num_shards=config.shards,
-                    chunk_size=config.shard_chunk,
-                    seed=config.seed,
-                )
-                for group_workload in self._group_workloads
-            ]
-        else:
-            self._fleets = [
-                CallFleet(
-                    group_workload,
-                    self.params,
-                    buffer_size=config.buffer_bits,
-                    initial_capacity=256,
-                )
-                for group_workload in self._group_workloads
-            ]
+        self._fleets = [
+            self._new_fleet(group_workload, config, 256)
+            for group_workload in self._group_workloads
+        ]
         return FleetStack(self._fleets)  # type: ignore[return-value]
 
     def _build_link(self, config: ServerConfig) -> LinkStack:
@@ -369,9 +352,6 @@ class ScenarioGateway(RcbrGateway):
             )
             self._route_paths[route] = path
         return path
-
-    def close(self) -> None:
-        self.fleet.close()
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -427,19 +407,26 @@ class ScenarioGateway(RcbrGateway):
         admitted = self.controller.admit(
             bottleneck, now, call_class=call_class
         )
+        net = self._net_slots.intern(call_id)
         if admitted:
             # The initial reservation travels the route for real: any
             # hop without headroom denies (and rolls back upstream
             # commits), blocking the call.
             admitted = path.renegotiate(
                 RenegotiationRequest(
-                    vci=call_id,
+                    vci=net,
                     old_rate=0.0,
                     new_rate=initial_rate,
                     time=now,
                 )
             )
         if not admitted:
+            # A setup cell lost after upstream hops committed leaves
+            # them holding its rate (drift that no teardown ever
+            # repairs); such a slot stays out of reuse so no later call
+            # inherits the stale reservation.
+            if not any(port.rate_of(net) for port in path.ports):
+                self._net_slots.release(call_id)
             fleet.remove(slot)
             self.blocked += 1
             stats.blocked += 1
@@ -469,17 +456,18 @@ class ScenarioGateway(RcbrGateway):
             _edge_key(u, v) for u, v in _route_edges(route)
         )
         links = tuple(self._edge_links[key] for key in edge_keys)
+        net = self._net_slots.intern(call_id)
         granted = initial_rate
         failed = False
         for link in links:
-            outcome = link.request(call_id, initial_rate, now)
+            outcome = link.request(net, initial_rate, now)
             granted = min(granted, outcome.granted_rate)
             failed = failed or outcome.failed
         if failed:
             self.setup_shortfalls += 1
             for link in links:
-                if link.grant_of(call_id) > granted + 1e-12:
-                    link.request(call_id, granted, now)
+                if link.grant_of(net) > granted + 1e-12:
+                    link.request(net, granted, now)
         fleet.set_rate(slot, granted)
         self.controller.on_admit(call_id, granted, now, call_class=call_class)
         self.admitted += 1
@@ -503,9 +491,10 @@ class ScenarioGateway(RcbrGateway):
         now = self.engine.now
         binding = self._bindings.pop(gslot)
         self.offered.on_departure(int(fleet.call_class[slot]))
+        net = self._net_slots.release(call_id)
         for link in binding.links:
-            link.release(call_id, now)
-        binding.path.release(call_id)
+            link.release(net, now)
+        binding.path.release(net)
         self.controller.on_departure(call_id, now)
         fleet.remove(slot)
         self._departure_events.pop(call_id, None)
@@ -557,12 +546,13 @@ class ScenarioGateway(RcbrGateway):
         gslot = group * GROUP_STRIDE + slot
         binding = self._bindings[gslot]
         call_id = int(fleet.call_id[slot])
+        net = self._net_slots.slot_of[call_id]
         granted = new_rate
         for link in binding.links:
-            outcome = link.request(call_id, new_rate, now)
+            outcome = link.request(net, new_rate, now)
             granted = min(granted, outcome.granted_rate)
         for key in binding.edge_keys:
-            self._edge_ports[key].reprovision(call_id, granted - old_rate)
+            self._edge_ports[key].reprovision(net, granted - old_rate)
         self.controller.on_reservation(call_id, granted, now)
         fleet.set_rate(slot, granted)
         return True
@@ -588,9 +578,10 @@ class ScenarioGateway(RcbrGateway):
             remaining = max(0.0, event.time - now)
         binding = self._bindings.pop(gslot)
         self.offered.on_departure(call_class)
+        net = self._net_slots.release(call_id)
         for link in binding.links:
-            link.release(call_id, now)
-        binding.path.release(call_id)
+            link.release(net, now)
+        binding.path.release(net)
         self.controller.on_departure(call_id, now)
         fleet.remove(slot)
         self.departed += 1
@@ -633,8 +624,9 @@ class ScenarioGateway(RcbrGateway):
         # Mirror the link grants onto the route ports directly (no
         # signaling round trip): readmission is the plane's decision.
         granted = float(fleet.rate[slot])
+        net = self._net_slots.slot_of[call_id]
         for key in self._bindings[group * GROUP_STRIDE + slot].edge_keys:
-            self._edge_ports[key].provision(call_id, granted)
+            self._edge_ports[key].provision(net, granted)
         return call_id_installed
 
     # ------------------------------------------------------------------
@@ -661,7 +653,7 @@ class ScenarioGateway(RcbrGateway):
         else:
             granted = binding.path.renegotiate(
                 RenegotiationRequest(
-                    vci=call_id,
+                    vci=self._net_slots.slot_of[call_id],
                     old_rate=old_rate,
                     new_rate=new_rate,
                     time=time,
@@ -695,10 +687,11 @@ class ScenarioGateway(RcbrGateway):
         stats = self.group_stats[group]
         if apply:
             binding = self._bindings[gslot]
+            net = self._net_slots.slot_of[call_id]
             granted_rate = new_rate
             failed = False
             for link in binding.links:
-                outcome = link.request(call_id, new_rate, now)
+                outcome = link.request(net, new_rate, now)
                 granted_rate = min(granted_rate, outcome.granted_rate)
                 failed = failed or outcome.failed
             if failed:
@@ -707,8 +700,8 @@ class ScenarioGateway(RcbrGateway):
                 # bottleneck so per-link utilization stays honest; the
                 # binding link keeps the unmet demand (-> lost_bits).
                 for link in binding.links:
-                    if link.grant_of(call_id) > granted_rate + 1e-12:
-                        link.request(call_id, granted_rate, now)
+                    if link.grant_of(net) > granted_rate + 1e-12:
+                        link.request(net, granted_rate, now)
             fleet.set_rate(slot, granted_rate)
             self.controller.on_reservation(call_id, granted_rate, now)
             fleet.streak[slot] = 0
@@ -852,6 +845,7 @@ class ScenarioGateway(RcbrGateway):
                 [gslot, list(binding.route)]
                 for gslot, binding in self._bindings.items()
             ],
+            "net_slots": self._net_slots.state_dict(),
             "group_stats": [
                 dataclasses.asdict(stats) for stats in self.group_stats
             ],
@@ -890,6 +884,7 @@ class ScenarioGateway(RcbrGateway):
                 links=tuple(self._edge_links[key] for key in edge_keys),
                 edge_keys=edge_keys,
             )
+        self._net_slots.load_state(scenario["net_slots"])  # type: ignore[index]
         self.group_stats = [
             GroupStats(**stats)
             for stats in scenario["group_stats"]  # type: ignore[index]
@@ -1243,8 +1238,8 @@ def run_scenario(
 
     Keyword overrides replace the spec's defaults.  ``shards`` applies
     to every scenario shape — the single-bottleneck specs run the
-    classic sharded gateway, the multi-bottleneck specs shard each flow
-    group's fleet.  Same spec and seed => byte-identical fingerprint
+    classic gateway on a sharded fleet, the multi-bottleneck specs shard
+    each flow group's fleet.  Same spec and seed => byte-identical fingerprint
     for shards ∈ {0, 1, N}.
     """
     spec = (

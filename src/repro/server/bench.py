@@ -6,10 +6,10 @@ aggregate mean) and times the vectorized service loop for a fixed number
 of epochs.  The headline figures are ``realtime_factor`` — simulated
 seconds per wall-clock second, which must stay >= 1 for the gateway to
 keep up with real time — and ``call_epochs_per_second``, the
-size-independent throughput of the vector step.  ``shards >= 1`` runs
-the multi-process sharded gateway (:mod:`repro.server.sharded`) — the
-">=1M concurrent calls at realtime" configuration — with the same
-fingerprint for any shard count.
+size-independent throughput of the vector step.  ``shards >= 1`` steps
+the fleet on a worker pool (:mod:`repro.server.sharded`) — the ">=1M
+concurrent calls at realtime" configuration — with the same fingerprint
+for any shard count.
 
 Results land in ``BENCH_server.json`` via the shared
 :class:`~repro.perf.recorder.BenchRecorder`.  The artifact keeps a

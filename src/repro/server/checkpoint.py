@@ -63,7 +63,8 @@ __all__ = [
 CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 
 #: Bump when the state layout changes; mismatched checkpoints are stale.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2: the link and port keep per-source state in slot tables.
+CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointError(RuntimeError):

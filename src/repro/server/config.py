@@ -53,9 +53,9 @@ class ServerConfig:
     to sample.  The sample is drawn from a dedicated stream spawned from
     ``seed``, so sourced runs inherit the same determinism contract.
 
-    ``shards`` selects the multi-process sharded runtime
-    (:mod:`repro.server.sharded`): 0 runs the plain single-process
-    gateway, ``N >= 1`` partitions the call fleet's kernel state across
+    ``shards`` selects where the fleet's kernel step runs
+    (:mod:`repro.server.sharded`): 0 steps it inline in the gateway
+    process, ``N >= 1`` partitions the call fleet's kernel state across
     ``N`` worker processes in contiguous ``shard_chunk``-slot chunks
     (shard of a slot = ``(slot // shard_chunk) % shards``, a pure
     function of the pool slot, so a call never migrates shards).  The

@@ -30,31 +30,15 @@ reductions (total buffered bits, total reserved rate) are exact.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core import kernel as _kernel
 from repro.core.kernel import RenegotiationKernel
 from repro.core.online import OnlineParams
 from repro.traffic.trace import SlottedWorkload
 from repro.util.stats import per_class_counts, per_class_totals
-
-
-def __getattr__(name: str):
-    # Deprecated re-export: the quantiser guard moved to its single home
-    # in repro.core.kernel alongside the rest of the eq.-7 arithmetic.
-    if name == "QUANTIZE_EPSILON":
-        warnings.warn(
-            "repro.server.fleet.QUANTIZE_EPSILON is deprecated; import it "
-            "from repro.core.kernel",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _kernel.QUANTIZE_EPSILON
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -220,6 +204,10 @@ class CallFleet:
     def set_rate(self, slot: int, rate: float) -> None:
         self._state.rate[slot] = rate
 
+    def close(self) -> None:
+        """Release external resources: none inline (the sharded fleet
+        overrides this to stop its worker pool)."""
+
     # ------------------------------------------------------------------
     # The vectorized epoch step
     # ------------------------------------------------------------------
@@ -310,7 +298,7 @@ class CallFleet:
 
         Growth happens through :meth:`_grow` so subclasses keep their
         invariants (the sharded fleet re-points columns at a fresh
-        shared block and notifies the gateway to widen link/ports).
+        shared block).
         Capacities must then match exactly — both sides double from the
         same config-derived initial size, so any mismatch means the
         checkpoint belongs to a different config and is refused.

@@ -28,15 +28,28 @@ so with zero hop delay an answer lands before the next step and the
 fleet reproduces the scalar :class:`~repro.core.online.OnlineScheduler`
 exactly (rates take effect the following slot, as in the paper).
 
+Step 3 issues the epoch as one batch — one path commit, one completion
+event — with the scalar per-call round trip kept as the exact fallback
+for fault plans, multi-hop rollback and imminent abandonment.  Calls
+reserve at the link, ports and path under their pool slot, so the link
+and ports are flat columns.  ``config.shards`` chooses only where step
+2 runs: inline (0) or on a worker pool (:mod:`repro.server.sharded`).
+
 Dual bandwidth authority, by design: call setup/teardown provision the
 switch ports directly (admission is the CAC's decision, not the ER fast
 path's — and it mirrors :mod:`repro.admission.callsim`, which models no
 setup signaling), while renegotiations travel the path under faults.
 Lost decreases, duplicated increases, and partial outage commits
 therefore leave the *ports* over-reserving relative to the *link* — the
-paper's drift story — and the bottleneck port being conservative
-guarantees any path-granted increase also fits on the link
-(``link_shortfalls`` counts violations of that invariant, expected 0).
+paper's drift story — and a conservative bottleneck port means a
+path-granted increase also fits on the link.  The one way round that is
+over-admission: a setup the link grants only in part
+(``setup_shortfalls``) leaves the call's unmet demand in the link's
+shortfall FIFO, and the link back-fills it as capacity frees without the
+ports or the fleet seeing it, so the bottleneck port under-counts the
+link and can pass increases the link then grants only in part
+(``link_shortfalls``).  With no setup shortfall there is no link
+shortfall.
 
 The base workload can be handed in directly or sampled from any
 :class:`~repro.traffic.sources.TrafficSource` (``config.source`` names a
@@ -80,7 +93,8 @@ from repro.overload.policies import make_overload_policy
 from repro.queueing.events import Event, EventScheduler
 from repro.queueing.link import RcbrLink
 from repro.server.config import ServerConfig, build_controller
-from repro.server.fleet import CallFleet
+from repro.server.fleet import CallFleet, EpochStep
+from repro.server.sharded import ShardedFleet
 from repro.server.stats import (
     ServerReport,
     ServerSnapshot,
@@ -263,16 +277,38 @@ class RcbrGateway:
         self._encode_callback_cache: Dict[object, str] = {}
 
     # ------------------------------------------------------------------
-    # Construction hooks (overridden by the sharded runtime)
+    # Construction seams (overridden by the scenario runtime)
     # ------------------------------------------------------------------
     def _build_fleet(
         self, workload: SlottedWorkload, config: ServerConfig
     ) -> CallFleet:
+        return self._new_fleet(
+            workload, config, max(256, config.initial_calls)
+        )
+
+    def _new_fleet(
+        self,
+        workload: SlottedWorkload,
+        config: ServerConfig,
+        initial_capacity: int,
+    ) -> CallFleet:
+        """``config.shards`` picks the fleet's executor and nothing else:
+        0 steps the kernel inline, >= 1 on a worker pool."""
+        if config.shards:
+            return ShardedFleet(
+                workload,
+                self.params,
+                buffer_size=config.buffer_bits,
+                initial_capacity=initial_capacity,
+                num_shards=config.shards,
+                chunk_size=config.shard_chunk,
+                seed=config.seed,
+            )
         return CallFleet(
             workload,
             self.params,
             buffer_size=config.buffer_bits,
-            initial_capacity=max(256, config.initial_calls),
+            initial_capacity=initial_capacity,
         )
 
     def _build_link(self, config: ServerConfig) -> RcbrLink:
@@ -290,15 +326,6 @@ class RcbrGateway:
         ]
         ports.append(SwitchPort(config.capacity, name="bottleneck"))
         return ports
-
-    def _source_key(self, slot: int, call_id: int) -> int:
-        """The identity a call reserves under at the link/ports/path.
-
-        The plain gateway keys by call id; the sharded gateway keys by
-        pool slot so the link and ports can be dense arrays.  Admission
-        controllers always see the call id regardless.
-        """
-        return call_id
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -327,14 +354,13 @@ class RcbrGateway:
         readmission — the post-decision, post-draw part of admission)."""
         call_id = next(self._call_ids)
         slot, initial_rate = self.fleet.admit(call_id, shift, call_class)
-        key = self._source_key(slot, call_id)
-        outcome = self.link.request(key, initial_rate, now)
+        outcome = self.link.request(slot, initial_rate, now)
         if outcome.failed:
             self.setup_shortfalls += 1
         granted = outcome.granted_rate
         self.fleet.set_rate(slot, granted)
         for port in self.ports:
-            port.provision(key, granted)
+            port.provision(slot, granted)
         self.controller.on_admit(call_id, granted, now, call_class=call_class)
         self.admitted += 1
         self.offered.on_admitted(call_class)
@@ -358,9 +384,8 @@ class RcbrGateway:
             return  # stale event: the call already left this pool slot
         now = self.engine.now
         self.offered.on_departure(int(self.fleet.call_class[slot]))
-        key = self._source_key(slot, call_id)
-        self.link.release(key, now)
-        self.path.release(key)
+        self.link.release(slot, now)
+        self.path.release(slot)
         self.controller.on_departure(call_id, now)
         self.fleet.remove(slot)
         self._departure_events.pop(call_id, None)
@@ -394,7 +419,7 @@ class RcbrGateway:
         else:
             granted = self.path.renegotiate(
                 RenegotiationRequest(
-                    vci=self._source_key(slot, call_id),
+                    vci=slot,
                     old_rate=old_rate,
                     new_rate=new_rate,
                     time=time,
@@ -413,20 +438,43 @@ class RcbrGateway:
             apply,
         )
 
-    def _issue_epoch(self, step, end_of_slot: float) -> None:
+    def _issue_epoch(self, step: EpochStep, end_of_slot: float) -> None:
         """Issue every renegotiation one epoch step produced.
 
         ``step.slots`` is in ascending pool-slot order — the documented
-        issue order of the determinism contract.  The sharded gateway
-        overrides this with a batched path commit.
+        issue order of the determinism contract.  One batched path
+        commit and one batched completion event replace a scalar round
+        trip per call; :meth:`SignalingPath.renegotiate_batch` keeps
+        denials vectorized on a single hop and replays the exact scalar
+        walk for multi-hop rollback.  A fault plan draws its injected
+        denials per increase in per-call order, which only the scalar
+        :meth:`_issue` reproduces, so faulted runs take that path.
         """
-        call_ids = self.fleet.call_id[step.slots]
-        for slot_index, call_id, candidate in zip(
-            step.slots.tolist(),
-            call_ids.tolist(),
-            step.candidates.tolist(),
-        ):
-            self._issue(slot_index, call_id, candidate, end_of_slot)
+        slots = step.slots
+        call_ids = self.fleet.call_id[slots]
+        if self.faults is not None:
+            for slot, call_id, candidate in zip(
+                slots.tolist(), call_ids.tolist(), step.candidates.tolist()
+            ):
+                self._issue(slot, call_id, candidate, end_of_slot)
+            return
+        new_rates = step.candidates
+        old_rates = self.fleet.rate[slots]
+        self.fleet.pending[slots] = True
+        self.reneg_requests += int(slots.size)
+        granted = self.path.renegotiate_batch(
+            slots, old_rates, new_rates, end_of_slot
+        )
+        apply = granted | ~(new_rates > old_rates)
+        self.engine.schedule_at(
+            end_of_slot + self.path.round_trip_time,
+            self._complete_batch,
+            slots,
+            call_ids,
+            new_rates,
+            granted,
+            apply,
+        )
 
     def _complete(
         self,
@@ -441,9 +489,7 @@ class RcbrGateway:
         self.fleet.pending[slot] = False
         now = self.engine.now
         if apply:
-            outcome = self.link.request(
-                self._source_key(slot, call_id), new_rate, now
-            )
+            outcome = self.link.request(slot, new_rate, now)
             if outcome.failed:
                 self.link_shortfalls += 1
             self.fleet.set_rate(slot, outcome.granted_rate)
@@ -458,6 +504,77 @@ class RcbrGateway:
             and streak >= self.config.abandon_after
         ):
             self._abandon(slot, call_id)
+
+    def _complete_batch(
+        self,
+        slots: np.ndarray,
+        call_ids: np.ndarray,
+        new_rates: np.ndarray,
+        granted: np.ndarray,
+        apply: np.ndarray,
+    ) -> None:
+        """Land one epoch's renegotiation answers (see :meth:`_complete`)."""
+        fleet = self.fleet
+        all_applied = bool(np.all(apply))
+        if not all_applied and self.config.abandon_after is not None:
+            # An abandonment mid-batch mutates the free list (and can
+            # release link and port state) between completions; only
+            # the scalar replay, in ascending slot order — the order
+            # the per-call events would fire in — is exact there.
+            # Slots are unique, so each gets at most one streak bump
+            # this batch and the pre-check sees the decisive value.
+            denied_mask = ~apply
+            denied_slots = slots[denied_mask]
+            live = fleet.call_id[denied_slots] == call_ids[denied_mask]
+            streaks = fleet.streak[denied_slots[live]]
+            if bool(np.any(streaks + 1 >= self.config.abandon_after)):
+                for index in range(slots.size):
+                    self._complete(
+                        int(slots[index]),
+                        int(call_ids[index]),
+                        float(new_rates[index]),
+                        bool(granted[index]),
+                        bool(apply[index]),
+                    )
+                return
+        valid = fleet.call_id[slots] == call_ids
+        if not bool(valid.all()):
+            slots = slots[valid]
+            call_ids = call_ids[valid]
+            new_rates = new_rates[valid]
+            apply = apply[valid]
+            if slots.size == 0:
+                return
+        fleet.pending[slots] = False
+        now = self.engine.now
+        if not all_applied:
+            # Denied completions never touch the link, so splitting
+            # them out of the ascending-order commit is exact; the
+            # streak bumps and grant resets land on disjoint slots.
+            denied_slots = slots[~apply]
+            if denied_slots.size:
+                self.reneg_denied += int(denied_slots.size)
+                fleet.streak[denied_slots] += 1
+            slots = slots[apply]
+            call_ids = call_ids[apply]
+            new_rates = new_rates[apply]
+            if slots.size == 0:
+                return
+        granted_rates, failures = self.link.request_batch(
+            slots, new_rates, now
+        )
+        self.link_shortfalls += failures
+        fleet.rate[slots] = granted_rates
+        on_batch = getattr(self.controller, "on_reservation_batch", None)
+        if on_batch is not None:
+            on_batch(call_ids, granted_rates, now)
+        else:
+            on_reservation = self.controller.on_reservation
+            for call_id, rate in zip(
+                call_ids.tolist(), granted_rates.tolist()
+            ):
+                on_reservation(call_id, rate, now)
+        fleet.streak[slots] = 0
 
     # ------------------------------------------------------------------
     # Overload-plane actions (called by repro.overload policies)
@@ -487,11 +604,10 @@ class RcbrGateway:
             if new_rate >= old_rate:
                 continue
             call_id = int(fleet.call_id[slot])
-            key = self._source_key(slot, call_id)
-            outcome = self.link.request(key, new_rate, now)
+            outcome = self.link.request(slot, new_rate, now)
             granted = outcome.granted_rate
             for port in self.ports:
-                port.reprovision(key, granted - old_rate)
+                port.reprovision(slot, granted - old_rate)
             self.controller.on_reservation(call_id, granted, now)
             fleet.set_rate(slot, granted)
             shrunk += 1
@@ -518,9 +634,8 @@ class RcbrGateway:
             event.cancel()
             remaining = max(0.0, event.time - now)
         self.offered.on_departure(call_class)
-        key = self._source_key(slot, call_id)
-        self.link.release(key, now)
-        self.path.release(key)
+        self.link.release(slot, now)
+        self.path.release(slot)
         self.controller.on_departure(call_id, now)
         fleet.remove(slot)
         self.departed += 1
@@ -935,7 +1050,7 @@ class RcbrGateway:
         method only replays the mutable state.  Restoring into a
         gateway that has already served traffic is unsupported.
         """
-        self.fleet.load_state(state["fleet"])  # grows link/ports via hooks
+        self.fleet.load_state(state["fleet"])
         self.link.load_state(state["link"])
         port_states = state["ports"]
         if len(port_states) != len(self.ports):  # type: ignore[arg-type]
@@ -1044,11 +1159,9 @@ class RcbrGateway:
         self.load_state(state)
 
     def close(self) -> None:
-        """Release external resources (worker processes, shared memory).
-
-        A no-op for the single-process gateway; the sharded runtime
-        overrides it to shut its worker pool down.  Idempotent.
-        """
+        """Release external resources (a sharded fleet's worker pool
+        and shared memory).  Idempotent."""
+        self.fleet.close()
 
     def __enter__(self) -> "RcbrGateway":
         return self
@@ -1087,20 +1200,8 @@ def build_gateway(
     faults: Optional[FaultPlan] = None,
     source: Optional[TrafficSource] = None,
 ) -> RcbrGateway:
-    """Build the gateway class ``config`` calls for.
-
-    ``config.shards >= 1`` selects the sharded multi-process runtime
-    (``repro.server.sharded``); the default plain gateway is returned
-    when ``shards`` is 0/unset.  Kept here so ``serve`` and the CLI
-    share one dispatch point.
-    """
-    if getattr(config, "shards", 0):
-        from repro.server.sharded import ShardedGateway
-
-        return ShardedGateway(
-            workload, config, controller=controller, faults=faults,
-            source=source,
-        )
+    """Build the gateway ``serve`` and the CLI run (one construction
+    point; ``config.shards`` only picks the fleet executor)."""
     return RcbrGateway(
         workload, config, controller=controller, faults=faults, source=source
     )

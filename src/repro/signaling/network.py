@@ -286,9 +286,9 @@ class SignalingPath:
         """Issue one epoch's renegotiations; returns per-request grants.
 
         Semantically identical to one :meth:`renegotiate` per entry at
-        the same ``time``, in order — this is the sharded gateway's
-        per-epoch commit, where the scalar path's ~40k cell traversals
-        per epoch would dominate the real-time budget.  The batched
+        the same ``time``, in order — this is the gateway's per-epoch
+        commit, where the scalar path's ~40k cell traversals per epoch
+        would dominate the real-time budget.  The batched
         paths engage only when nothing can perturb the per-cell fold:
         no fault plan, no cell loss, no outage windows on any hop.  A
         single-hop path then resolves the exact denied set by fixpoint

@@ -11,6 +11,13 @@ updated, which is the scaling argument of Section III-C ("RCBR support
 does not require per-VCI state").  Absolute (resynchronisation) cells do
 consult an optional per-VCI table; a port configured without one simply
 treats them as refreshes of its aggregate from the table-less delta flow.
+
+The per-VCI table is a float64 column indexed by VCI (VCIs are the
+gateway's call-pool slots, or keys a caller interned with
+:class:`~repro.util.slots.SlotInterner`), grown on demand, so an epoch
+of delta cells commits with one fancy index.  Reserved negative VCIs —
+the scenario runtime's background cross-traffic VCI — live in a side
+dict: a negative index into the column would silently alias its tail.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.signaling.messages import CellKind, RmCell
+from repro.util.slots import grown
 
 #: Iteration cap for the batched denial fixpoint.  Each pass re-decides
 #: every increase against its exact prefix utilization; real epochs
@@ -35,7 +43,15 @@ FIXPOINT_BLOCK = 2048
 
 
 class SwitchPort:
-    """One output port: capacity, aggregate utilization, counters."""
+    """One output port: capacity, aggregate utilization, counters.
+
+    Per-VCI value semantics match a dict that drops entries at
+    ``<= 1e-12``: an absent VCI *is* a stored ``0.0``, so every
+    utilization fold is exact, and :meth:`rate_of` reports zero as
+    None.  ``utilization`` stays a Python float: every column read
+    feeding it is ``float()``-cast so ``np.float64`` (whose repr
+    differs) never leaks into fingerprinted snapshot fields.
+    """
 
     def __init__(
         self,
@@ -49,7 +65,10 @@ class SwitchPort:
         self.name = name
         self.utilization = 0.0
         self.track_per_vci = track_per_vci
-        self._vci_rates: Optional[Dict[int, float]] = {} if track_per_vci else None
+        self._vci_rates: Optional[np.ndarray] = (
+            np.zeros(16) if track_per_vci else None
+        )
+        self._reserved_rates: Dict[int, float] = {}
         self._outages: List[Tuple[float, float]] = []
         self.cells_processed = 0
         self.requests_denied = 0
@@ -62,7 +81,14 @@ class SwitchPort:
     def rate_of(self, vci: int) -> Optional[float]:
         if self._vci_rates is None:
             return None
-        return self._vci_rates.get(vci)
+        rate = self._rate(vci)
+        return rate if rate != 0.0 else None
+
+    def _rate(self, vci: int) -> float:
+        if vci < 0:
+            return self._reserved_rates.get(vci, 0.0)
+        table = self._vci_rates
+        return float(table[vci]) if vci < table.size else 0.0
 
     # ------------------------------------------------------------------
     # Transient outages
@@ -152,25 +178,39 @@ class SwitchPort:
             # Stateless port: cannot resolve the old rate; ignore silently
             # (the drift persists until a stateful hop or teardown).
             return True
-        old = self._vci_rates.get(cell.vci, 0.0)
-        delta = cell.er - old
+        delta = cell.er - self._rate(cell.vci)
         if delta <= 0 or self.utilization + delta <= self.capacity + 1e-9:
             self.utilization = max(0.0, self.utilization + delta)
-            self._vci_rates[cell.vci] = cell.er
+            self._set_rate(cell.vci, cell.er)
             return True
         self.requests_denied += 1
         return False
 
     def _bump_vci(self, vci: int, delta: float) -> None:
-        if self._vci_rates is not None:
-            new_rate = self._vci_rates.get(vci, 0.0) + delta
-            if new_rate <= 1e-12:
-                self._vci_rates.pop(vci, None)
+        table = self._vci_rates
+        if table is None:
+            return
+        if vci < 0 or vci >= table.size:  # reserved VCI or past the column
+            new_rate = self._rate(vci) + delta
+            self._set_rate(vci, 0.0 if new_rate <= 1e-12 else new_rate)
+            return
+        new_rate = float(table[vci]) + delta
+        table[vci] = 0.0 if new_rate <= 1e-12 else new_rate
+
+    def _set_rate(self, vci: int, rate: float) -> None:
+        if vci < 0:
+            if rate == 0.0:
+                self._reserved_rates.pop(vci, None)
             else:
-                self._vci_rates[vci] = new_rate
+                self._reserved_rates[vci] = rate
+            return
+        if rate != 0.0:
+            self._vci_rates = grown(self._vci_rates, vci + 1)
+        if vci < self._vci_rates.size:
+            self._vci_rates[vci] = rate
 
     # ------------------------------------------------------------------
-    # Batched delta processing (the sharded gateway's epoch fast path)
+    # Batched delta processing (the gateway's epoch fast path)
     # ------------------------------------------------------------------
     def delta_batch_total(self, deltas: np.ndarray) -> Optional[float]:
         """Feasibility-check one epoch's delta cells as an exact fold.
@@ -301,10 +341,14 @@ class SwitchPort:
         return granted
 
     def _bump_vci_batch(self, vcis: Sequence, deltas: np.ndarray) -> None:
-        if self._vci_rates is None:
+        """:meth:`_bump_vci` per entry as one fancy index (non-negative
+        VCIs, none repeated within a batch)."""
+        if self._vci_rates is None or len(deltas) == 0:
             return
-        for index in range(len(deltas)):
-            self._bump_vci(int(vcis[index]), float(deltas[index]))
+        vcis = np.asarray(vcis, dtype=np.int64)
+        table = self._vci_rates = grown(self._vci_rates, int(vcis.max()) + 1)
+        new_rates = table[vcis] + deltas
+        table[vcis] = np.where(new_rates <= 1e-12, 0.0, new_rates)
 
     def rollback(self, cell: RmCell) -> None:
         """Undo a previously accepted increase (downstream hop denied)."""
@@ -317,7 +361,8 @@ class SwitchPort:
         """Tear down a connection, freeing its tracked bandwidth."""
         if self._vci_rates is None:
             return
-        rate = self._vci_rates.pop(vci, 0.0)
+        rate = self._rate(vci)
+        self._set_rate(vci, 0.0)
         self.utilization = max(0.0, self.utilization - rate)
 
     # ------------------------------------------------------------------
@@ -329,7 +374,8 @@ class SwitchPort:
         return {
             "capacity": self.capacity,
             "utilization": self.utilization,
-            "vci_rates": dict(rates) if isinstance(rates, dict) else None,
+            "vci_rates": rates.copy() if rates is not None else None,
+            "reserved_rates": dict(self._reserved_rates),
             "outages": list(self._outages),
             "cells_processed": self.cells_processed,
             "requests_denied": self.requests_denied,
@@ -338,11 +384,9 @@ class SwitchPort:
     def load_state(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state_dict` export."""
         rates = state["vci_rates"]
-        if self.track_per_vci:
-            self._vci_rates = dict(rates) if rates is not None else {}
-        self._load_common(state)
-
-    def _load_common(self, state: Dict[str, object]) -> None:
+        if self.track_per_vci and rates is not None:
+            self._vci_rates = np.array(rates)
+        self._reserved_rates = dict(state["reserved_rates"])  # type: ignore[arg-type]
         self.capacity = float(state["capacity"])  # type: ignore[arg-type]
         self.utilization = float(state["utilization"])  # type: ignore[arg-type]
         self._outages = [
@@ -355,117 +399,5 @@ class SwitchPort:
     def __repr__(self) -> str:
         return (
             f"SwitchPort({self.name!r}, util={self.utilization:.0f}/"
-            f"{self.capacity:.0f}, cells={self.cells_processed})"
-        )
-
-
-class DenseSwitchPort(SwitchPort):
-    """A :class:`SwitchPort` whose VCIs are integer pool slots.
-
-    Replaces the per-VCI dict with a dense float64 column indexed by
-    slot, so the sharded gateway's batched epoch commit is one fancy
-    index instead of ~40k dict operations.  Value semantics mirror the
-    dict exactly: an absent VCI *is* a stored ``0.0`` (the dict pops
-    entries at ``<= 1e-12``, then ``get(vci, 0.0)`` reads them back as
-    ``0.0``), so every utilization fold is bit-identical.  The one
-    intentional difference is :meth:`rate_of`, which reports a tracked
-    zero-rate VCI as ``None`` — the dict distinguishes "absent" from "an
-    absolute cell wrote exactly 0.0", the array cannot, and nothing in
-    the runtime reads that distinction.
-
-    ``utilization`` stays a Python float: every array read feeding it is
-    ``float()``-cast so ``np.float64`` (whose numpy-2.x repr differs)
-    can never leak into fingerprinted snapshot fields.
-    """
-
-    def __init__(
-        self, capacity: float, num_slots: int, name: str = "port"
-    ) -> None:
-        super().__init__(capacity, name=name, track_per_vci=True)
-        if num_slots < 1:
-            raise ValueError("num_slots must be >= 1")
-        self._vci_rates = np.zeros(num_slots)  # type: ignore[assignment]
-        # Reserved (negative) VCIs — the background cross-traffic VCI —
-        # live in a side dict: a negative index into the slot column
-        # would silently alias the tail slot.
-        self._reserved_rates: Dict[int, float] = {}
-
-    @property
-    def num_slots(self) -> int:
-        return int(self._vci_rates.size)
-
-    def grow(self, num_slots: int) -> None:
-        """Widen the slot column (pool growth); zero-filled tail."""
-        if num_slots < self.num_slots:
-            raise ValueError("DenseSwitchPort can only grow")
-        grown = np.zeros(num_slots)
-        grown[: self._vci_rates.size] = self._vci_rates
-        self._vci_rates = grown  # type: ignore[assignment]
-
-    def rate_of(self, vci: int) -> Optional[float]:
-        if vci < 0:
-            rate = self._reserved_rates.get(vci, 0.0)
-            return rate if rate != 0.0 else None
-        rate = float(self._vci_rates[vci])
-        return rate if rate != 0.0 else None
-
-    def _process_absolute(self, cell: RmCell) -> bool:
-        old = float(self._vci_rates[cell.vci])
-        delta = cell.er - old
-        if delta <= 0 or self.utilization + delta <= self.capacity + 1e-9:
-            self.utilization = max(0.0, self.utilization + delta)
-            self._vci_rates[cell.vci] = cell.er
-            return True
-        self.requests_denied += 1
-        return False
-
-    def _bump_vci(self, vci: int, delta: float) -> None:
-        if vci < 0:
-            new_rate = self._reserved_rates.get(vci, 0.0) + delta
-            if new_rate <= 1e-12:
-                self._reserved_rates.pop(vci, None)
-            else:
-                self._reserved_rates[vci] = new_rate
-            return
-        new_rate = float(self._vci_rates[vci]) + delta
-        self._vci_rates[vci] = 0.0 if new_rate <= 1e-12 else new_rate
-
-    def _bump_vci_batch(self, vcis: Sequence, deltas: np.ndarray) -> None:
-        table = self._vci_rates
-        new_rates = table[vcis] + deltas
-        table[vcis] = np.where(new_rates <= 1e-12, 0.0, new_rates)
-
-    def release(self, vci: int) -> None:
-        if vci < 0:
-            rate = self._reserved_rates.pop(vci, 0.0)
-            self.utilization = max(0.0, self.utilization - rate)
-            return
-        rate = float(self._vci_rates[vci])
-        self._vci_rates[vci] = 0.0
-        self.utilization = max(0.0, self.utilization - rate)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        state = SwitchPort.state_dict(self)
-        state["vci_rates"] = self._vci_rates.copy()
-        state["reserved_rates"] = dict(self._reserved_rates)
-        return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        saved = np.asarray(state["vci_rates"])
-        if saved.size > self.num_slots:
-            self.grow(saved.size)
-        self._vci_rates[:] = 0.0
-        self._vci_rates[: saved.size] = saved
-        # Absent in checkpoints predating reserved-VCI support (which
-        # could not have carried background state anyway).
-        self._reserved_rates = dict(state.get("reserved_rates") or {})
-        self._load_common(state)
-
-    def __repr__(self) -> str:
-        return (
-            f"DenseSwitchPort({self.name!r}, util={self.utilization:.0f}/"
             f"{self.capacity:.0f}, cells={self.cells_processed})"
         )

@@ -100,7 +100,7 @@ class TestOnlineRcbrSource:
         params = OnlineParams(
             granularity=100.0, low_threshold=10.0, high_threshold=100.0
         )
-        source = OnlineRcbrSource("s1", params, link)
+        source = OnlineRcbrSource(1, params, link)
         rates = np.concatenate([np.full(30, 500.0), np.full(30, 3000.0)])
         workload = SlottedWorkload(rates, slot_duration=1.0)
         result = source.run(workload)
@@ -110,11 +110,11 @@ class TestOnlineRcbrSource:
     def test_denials_on_saturated_link(self):
         link = RcbrLink(capacity=1000.0)
         # A competing reservation occupies almost everything.
-        link.request("background", 900.0, 0.0)
+        link.request(0, 900.0, 0.0)
         params = OnlineParams(
             granularity=100.0, low_threshold=10.0, high_threshold=100.0
         )
-        source = OnlineRcbrSource("s1", params, link)
+        source = OnlineRcbrSource(1, params, link)
         rates = np.concatenate([np.full(10, 100.0), np.full(50, 900.0)])
         workload = SlottedWorkload(rates, slot_duration=1.0)
         result = source.run(workload)

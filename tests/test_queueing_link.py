@@ -1,21 +1,26 @@
 """The RCBR link: grants, denials, shortfall redistribution, accounting."""
 
+import numpy as np
 import pytest
 
 from repro.queueing.link import RcbrLink
+from repro.util.slots import SlotInterner
+
+# Sources are slots; these name the ones the scenarios below use.
+A, B, C = 0, 1, 2
 
 
 class TestBasicRequests:
     def test_setup_within_capacity_granted(self):
         link = RcbrLink(1000.0)
-        outcome = link.request("a", 400.0, 0.0)
+        outcome = link.request(A, 400.0, 0.0)
         assert outcome.fully_granted
         assert link.allocated == 400.0
 
     def test_increase_beyond_capacity_partially_granted(self):
         link = RcbrLink(1000.0)
-        link.request("a", 800.0, 0.0)
-        outcome = link.request("b", 500.0, 1.0)
+        link.request(A, 800.0, 0.0)
+        outcome = link.request(B, 500.0, 1.0)
         assert outcome.failed
         assert outcome.granted_rate == pytest.approx(200.0)
         assert link.failure_count == 1
@@ -23,16 +28,16 @@ class TestBasicRequests:
     def test_source_keeps_old_bandwidth_on_denial(self):
         """Section III-A1: even on failure, keep what you have."""
         link = RcbrLink(1000.0)
-        link.request("a", 400.0, 0.0)
-        link.request("b", 600.0, 0.0)
-        outcome = link.request("a", 900.0, 1.0)
+        link.request(A, 400.0, 0.0)
+        link.request(B, 600.0, 0.0)
+        outcome = link.request(A, 900.0, 1.0)
         assert outcome.failed
-        assert link.grant_of("a") == pytest.approx(400.0)
+        assert link.grant_of(A) == pytest.approx(400.0)
 
     def test_decrease_always_succeeds(self):
         link = RcbrLink(1000.0)
-        link.request("a", 900.0, 0.0)
-        outcome = link.request("a", 100.0, 1.0)
+        link.request(A, 900.0, 0.0)
+        outcome = link.request(A, 100.0, 1.0)
         assert outcome.fully_granted
         assert link.allocated == pytest.approx(100.0)
 
@@ -44,7 +49,7 @@ class TestBasicRequests:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            RcbrLink(10.0).request("a", -1.0, 0.0)
+            RcbrLink(10.0).request(A, -1.0, 0.0)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -54,44 +59,44 @@ class TestBasicRequests:
 class TestRedistribution:
     def test_freed_capacity_fills_shortfall(self):
         link = RcbrLink(1000.0)
-        link.request("a", 800.0, 0.0)
-        link.request("b", 500.0, 0.0)  # shortfall: gets 200
-        assert link.grant_of("b") == pytest.approx(200.0)
-        link.release("a", 1.0)
-        assert link.grant_of("b") == pytest.approx(500.0)
+        link.request(A, 800.0, 0.0)
+        link.request(B, 500.0, 0.0)  # shortfall: gets 200
+        assert link.grant_of(B) == pytest.approx(200.0)
+        link.release(A, 1.0)
+        assert link.grant_of(B) == pytest.approx(500.0)
 
     def test_fifo_order_of_shortfall(self):
         link = RcbrLink(1000.0)
-        link.request("a", 1000.0, 0.0)
-        link.request("b", 600.0, 0.0)  # first in line, gets 0
-        link.request("c", 600.0, 0.0)  # second in line, gets 0
-        link.request("a", 700.0, 1.0)  # frees 300
-        assert link.grant_of("b") == pytest.approx(300.0)
-        assert link.grant_of("c") == pytest.approx(0.0)
+        link.request(A, 1000.0, 0.0)
+        link.request(B, 600.0, 0.0)  # first in line, gets 0
+        link.request(C, 600.0, 0.0)  # second in line, gets 0
+        link.request(A, 700.0, 1.0)  # frees 300
+        assert link.grant_of(B) == pytest.approx(300.0)
+        assert link.grant_of(C) == pytest.approx(0.0)
 
     def test_decrease_of_shortfall_source_clears_it(self):
         link = RcbrLink(1000.0)
-        link.request("a", 900.0, 0.0)
-        link.request("b", 400.0, 0.0)  # shortfall
-        link.request("b", 100.0, 1.0)  # gives up, now satisfied
-        link.release("a", 2.0)
-        assert link.grant_of("b") == pytest.approx(100.0)
+        link.request(A, 900.0, 0.0)
+        link.request(B, 400.0, 0.0)  # shortfall
+        link.request(B, 100.0, 1.0)  # gives up, now satisfied
+        link.release(A, 2.0)
+        assert link.grant_of(B) == pytest.approx(100.0)
 
     def test_work_conservation(self):
         """Total grant equals min(total demand, capacity)."""
         link = RcbrLink(1000.0)
-        link.request("a", 700.0, 0.0)
-        link.request("b", 700.0, 0.0)
+        link.request(A, 700.0, 0.0)
+        link.request(B, 700.0, 0.0)
         assert link.allocated == pytest.approx(1000.0)
-        link.request("a", 100.0, 1.0)
+        link.request(A, 100.0, 1.0)
         assert link.allocated == pytest.approx(800.0)
 
 
 class TestAccounting:
     def test_allocated_integral(self):
         link = RcbrLink(1000.0)
-        link.request("a", 400.0, 0.0)
-        link.request("a", 600.0, 10.0)
+        link.request(A, 400.0, 0.0)
+        link.request(A, 600.0, 10.0)
         link.finish(20.0)
         assert link.allocated_bit_seconds == pytest.approx(
             400.0 * 10 + 600.0 * 10
@@ -100,37 +105,37 @@ class TestAccounting:
 
     def test_lost_bits_from_shortfall(self):
         link = RcbrLink(1000.0)
-        link.request("a", 800.0, 0.0)
-        link.request("b", 500.0, 0.0)  # 300 short
+        link.request(A, 800.0, 0.0)
+        link.request(B, 500.0, 0.0)  # 300 short
         link.finish(10.0)
         assert link.lost_bits == pytest.approx(3000.0)
 
     def test_lost_bits_stop_after_satisfaction(self):
         link = RcbrLink(1000.0)
-        link.request("a", 800.0, 0.0)
-        link.request("b", 500.0, 0.0)
-        link.release("a", 5.0)  # b becomes whole at t=5
+        link.request(A, 800.0, 0.0)
+        link.request(B, 500.0, 0.0)
+        link.release(A, 5.0)  # b becomes whole at t=5
         link.finish(10.0)
         assert link.lost_bits == pytest.approx(300.0 * 5)
 
     def test_time_cannot_go_backwards(self):
         link = RcbrLink(100.0)
-        link.request("a", 10.0, 5.0)
+        link.request(A, 10.0, 5.0)
         with pytest.raises(ValueError):
-            link.request("a", 20.0, 1.0)
+            link.request(A, 20.0, 1.0)
 
     def test_counters(self):
         link = RcbrLink(1000.0)
-        link.request("a", 500.0, 0.0)
-        link.request("a", 700.0, 1.0)
-        link.request("a", 300.0, 2.0)
+        link.request(A, 500.0, 0.0)
+        link.request(A, 700.0, 1.0)
+        link.request(A, 300.0, 2.0)
         assert link.request_count == 3
         assert link.increase_count == 2
         assert link.failure_count == 0
 
     def test_release_unknown_source_is_safe(self):
         link = RcbrLink(100.0)
-        link.release("ghost", 1.0)
+        link.release(99, 1.0)  # never requested
         assert link.num_sources == 0
 
     def test_repr(self):
@@ -141,11 +146,11 @@ class TestAccounting:
 class TestCapacityChanges:
     def test_shrink_downgrades_grants_proportionally(self):
         link = RcbrLink(1000.0)
-        link.request("a", 600.0, 0.0)
-        link.request("b", 300.0, 0.0)
+        link.request(A, 600.0, 0.0)
+        link.request(B, 300.0, 0.0)
         link.set_capacity(450.0, 1.0)
-        assert link.grant_of("a") == pytest.approx(300.0)
-        assert link.grant_of("b") == pytest.approx(150.0)
+        assert link.grant_of(A) == pytest.approx(300.0)
+        assert link.grant_of(B) == pytest.approx(150.0)
         assert link.allocated <= 450.0 + 1e-9
         assert link.downgrade_events == 1
         # Demands are remembered: the deficit accrues to lost_bits.
@@ -154,19 +159,19 @@ class TestCapacityChanges:
 
     def test_restored_capacity_backfills_shortfall(self):
         link = RcbrLink(1000.0)
-        link.request("a", 600.0, 0.0)
-        link.request("b", 300.0, 0.0)
+        link.request(A, 600.0, 0.0)
+        link.request(B, 300.0, 0.0)
         link.set_capacity(450.0, 1.0)
         link.set_capacity(1000.0, 2.0)
-        assert link.grant_of("a") == pytest.approx(600.0)
-        assert link.grant_of("b") == pytest.approx(300.0)
+        assert link.grant_of(A) == pytest.approx(600.0)
+        assert link.grant_of(B) == pytest.approx(300.0)
         assert link.total_demand == pytest.approx(900.0)
 
     def test_growing_capacity_never_downgrades(self):
         link = RcbrLink(1000.0)
-        link.request("a", 600.0, 0.0)
+        link.request(A, 600.0, 0.0)
         link.set_capacity(2000.0, 1.0)
-        assert link.grant_of("a") == pytest.approx(600.0)
+        assert link.grant_of(A) == pytest.approx(600.0)
         assert link.downgrade_events == 0
 
     def test_capacity_must_stay_positive(self):
@@ -192,7 +197,7 @@ class TestCapacityChanges:
         # A new arrival sized to the remaining headroom must fit.
         headroom = 3_333.33 - exact
         if headroom > 0:
-            outcome = link.request("late", headroom, 2.0)
+            outcome = link.request(97, headroom, 2.0)  # a new arrival
             assert outcome.granted_rate <= headroom + 1e-12
         assert link.allocated <= 3_333.33
 
@@ -210,14 +215,14 @@ class TestCapacityChanges:
 class TestDemandTracking:
     def test_total_demand_tracks_requests_and_releases(self):
         link = RcbrLink(1000.0)
-        link.request("a", 400.0, 0.0)
-        link.request("b", 900.0, 0.0)
+        link.request(A, 400.0, 0.0)
+        link.request(B, 900.0, 0.0)
         assert link.total_demand == pytest.approx(1300.0)
-        link.request("a", 100.0, 1.0)
+        link.request(A, 100.0, 1.0)
         assert link.total_demand == pytest.approx(1000.0)
-        link.release("b", 2.0)
+        link.release(B, 2.0)
         assert link.total_demand == pytest.approx(100.0)
-        link.release("a", 3.0)
+        link.release(A, 3.0)
         assert link.total_demand == 0.0
 
     def test_total_demand_immune_to_cancellation_drift(self):
@@ -234,3 +239,83 @@ class TestDemandTracking:
             1e6 / 3.0 + index * 0.1 for index in range(1, 200, 2)
         )
         assert link.total_demand == pytest.approx(fresh, rel=1e-12)
+
+
+
+def _assert_same_state(left, right):
+    """Every observable of two links is bit-identical."""
+    a, b = left.state_dict(), right.state_dict()
+    for name in ("grants", "demands", "present", "insert_seq"):
+        assert np.array_equal(a.pop(name), b.pop(name)), name
+    assert a == b  # running totals, integrals, counters, shortfall FIFO
+    assert left.allocated == right.allocated
+    assert left.total_demand == right.total_demand
+
+
+class TestRequestBatch:
+    """``request_batch`` == a loop of ``request``, bit for bit."""
+
+    # Callers whose sources are not slots intern them; releasing a
+    # source frees its slot for the next new one.
+    LABELS = [f"call-{index}" for index in range(10)] + [("edge", 3), -7]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_request_loop(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        batch, loop = RcbrLink(40.0), RcbrLink(40.0)
+        slots = SlotInterner()
+        fallbacks = []
+        replay = RcbrLink._request_each
+
+        def counted(self, *args):
+            fallbacks.append(len(args[0]))
+            return replay(self, *args)
+
+        monkeypatch.setattr(RcbrLink, "_request_each", counted)
+        commits = 0
+        time = 0.0
+        for _ in range(300):
+            time += float(rng.choice([0.0, 0.25, 1.0]))
+            action = rng.random()
+            if action < 0.6:
+                size = int(rng.integers(1, len(self.LABELS)))
+                picks = rng.choice(len(self.LABELS), size=size, replace=False)
+                keys = [
+                    slots.intern(self.LABELS[i]) for i in picks.tolist()
+                ]
+                # Mostly small steps; a few big asks overrun the spare
+                # capacity and force the exact scalar replay.
+                rates = np.round(rng.uniform(0.0, 4.0, size) ** 1.5, 1)
+                before = len(fallbacks)
+                got = batch.request_batch(np.asarray(keys), rates, time)
+                commits += len(fallbacks) == before
+                granted = np.empty(size)
+                failures = 0
+                for index, key in enumerate(keys):
+                    outcome = loop.request(key, float(rates[index]), time)
+                    granted[index] = outcome.granted_rate
+                    failures += outcome.failed
+                assert np.array_equal(got[0], granted)
+                assert got[1] == failures
+            elif action < 0.8 and slots.slot_of:
+                live = list(slots.slot_of)
+                slot = slots.release(live[int(rng.integers(len(live)))])
+                batch.release(slot, time)
+                loop.release(slot, time)
+            else:
+                capacity = float(rng.choice([12.0, 25.0, 40.0, 60.0]))
+                batch.set_capacity(capacity, time)
+                loop.set_capacity(capacity, time)
+            _assert_same_state(batch, loop)
+        # Both paths really ran: vectorized commits and scalar replays.
+        assert commits > 10
+        assert fallbacks
+
+    def test_columns_stay_bounded_by_live_sources(self):
+        link = RcbrLink(100.0)
+        slots = SlotInterner()
+        for call_id in range(1000):
+            link.request(slots.intern(call_id), 1.0, float(call_id))
+            link.release(slots.release(call_id), float(call_id))
+        assert link.num_sources == 0
+        assert link.state_dict()["grants"].size <= 16

@@ -18,6 +18,7 @@ import pytest
 from repro.faults.injectors import FaultPlan
 from repro.server import ServerConfig, build_gateway
 from repro.server.checkpoint import (
+    CHECKPOINT_SCHEMA,
     CheckpointError,
     ServeLifecycle,
     StaleCheckpointError,
@@ -255,9 +256,22 @@ class TestStaleness:
         path = tmp_path / "gw.ckpt"
         self.write(workload, path)
         meta = read_checkpoint_meta(path)
-        assert meta["schema"] == 1
+        assert meta["schema"] == CHECKPOINT_SCHEMA
         assert meta["time"] == pytest.approx(1.0, abs=0.1)
         assert meta["next_tick"] > 0
+
+    def test_schema_one_payload_is_refused(self, workload, tmp_path):
+        # Schema 1 predates the slot-table link and port layouts.
+        path = tmp_path / "gw.ckpt"
+        cfg = self.write(workload, path)
+        payload = pickle.loads(path.read_bytes())
+        payload["schema"] = 1
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(StaleCheckpointError, match="schema 1"):
+            read_checkpoint(path, cfg)
+        with build_case(workload, "plain") as gateway:
+            with pytest.raises(StaleCheckpointError, match="schema"):
+                gateway.restore(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
