@@ -22,8 +22,7 @@ internals they could not see in a real switch.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -62,12 +61,6 @@ class _ReservationTracker:
     def num_active(self) -> int:
         return len(self.current_rate)
 
-    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(levels, fractions) of the rates reserved right now."""
-        rates = np.asarray(list(self.current_rate.values()), dtype=float)
-        levels, counts = np.unique(rates, return_counts=True)
-        return levels, counts / counts.sum()
-
     def on_admit(
         self, call_id, initial_rate: float, time: float, call_class: int = 0
     ) -> None:
@@ -77,24 +70,60 @@ class _ReservationTracker:
         if call_id in self.current_rate:
             self.current_rate[call_id] = new_rate
 
-    def on_reservation_batch(self, call_ids, new_rates, time: float) -> None:
-        """One epoch's renegotiation outcomes at once.
-
-        Equivalent to one :meth:`on_reservation` per pair *provided
-        every call id is currently tracked* — the gateway guarantees
-        that (stale completions are filtered before the batch), and a
-        plain ``dict.update`` is then identical to the
-        guarded per-call writes while being ~10x cheaper at the 1M-call
-        scale's ~40k renegotiations per epoch.  Accepts numpy arrays;
-        the ``tolist`` keeps the dict holding Python ints and floats,
-        same as the scalar writes.
-        """
-        self.current_rate.update(
-            zip(np.asarray(call_ids).tolist(), np.asarray(new_rates).tolist())
-        )
-
     def on_departure(self, call_id, time: float) -> None:
         self.current_rate.pop(call_id, None)
+
+
+class _LevelCounts(_ReservationTracker):
+    """The tracker plus a level -> count table of the rates reserved right
+    now, kept current on every callback so a snapshot needs no sort of
+    every active rate.  Counts are integers, so the snapshot's
+    ``counts / counts.sum()`` is bit-identical to ``np.unique``'s."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.count: Dict[float, int] = {}
+
+    def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(levels, fractions) of the rates reserved right now."""
+        levels = sorted(self.count)
+        counts = np.asarray([self.count[level] for level in levels])
+        return np.asarray(levels, dtype=float), counts / counts.sum()
+
+    def _count(self, level: float, delta: int) -> None:
+        remaining = self.count.get(level, 0) + delta
+        if remaining:
+            self.count[level] = remaining
+        else:
+            del self.count[level]
+
+    def on_admit(
+        self, call_id, initial_rate: float, time: float, call_class: int = 0
+    ) -> None:
+        old = self.current_rate.get(call_id)
+        if old is not None:
+            self._count(old, -1)
+        self._count(initial_rate, 1)
+        self.current_rate[call_id] = initial_rate
+
+    def on_reservation(self, call_id, new_rate: float, time: float) -> None:
+        old = self.current_rate.get(call_id)
+        if old is not None:
+            self._count(old, -1)
+            self._count(new_rate, 1)
+            self.current_rate[call_id] = new_rate
+
+    def on_reservation_batch(self, call_ids, new_rates, time: float) -> None:
+        """One epoch's renegotiation outcomes, applied in order."""
+        for call_id, rate in zip(
+            np.asarray(call_ids).tolist(), np.asarray(new_rates).tolist()
+        ):
+            self.on_reservation(call_id, rate, time)
+
+    def on_departure(self, call_id, time: float) -> None:
+        old = self.current_rate.pop(call_id, None)
+        if old is not None:
+            self._count(old, -1)
 
 
 class AlwaysAdmit:
@@ -194,7 +223,7 @@ class MemorylessMBAC:
         if not 0.0 < failure_target < 1.0:
             raise ValueError("failure_target must be in (0, 1)")
         self.failure_target = failure_target
-        self._tracker = _ReservationTracker()
+        self._tracker = _LevelCounts()
 
     @property
     def num_active(self) -> int:
@@ -215,6 +244,9 @@ class MemorylessMBAC:
 
     def on_reservation(self, call_id, new_rate: float, time: float) -> None:
         self._tracker.on_reservation(call_id, new_rate, time)
+
+    def on_reservation_batch(self, call_ids, new_rates, time: float) -> None:
+        self._tracker.on_reservation_batch(call_ids, new_rates, time)
 
     def on_departure(self, call_id, time: float) -> None:
         self._tracker.on_departure(call_id, time)
@@ -241,6 +273,34 @@ class MemoryMBAC:
     Young systems (less than ``min_history_seconds`` of accumulated
     call-time) fall back to admitting, like the memoryless scheme with an
     empty snapshot.
+
+    **Columnar layout.**  The histories are one float64 matrix of
+    seconds, a row per call and a column per distinct level.  Row 0 is
+    the departed calls' pooled mass; live calls hold rows 1.. in
+    admission order (a departure zeroes its row, and zeroed rows are
+    compacted away in bulk).  Per row: the open segment's start and the
+    column of the level held now.  Per cell: a creation stamp from a
+    global clock.  An arrival closes every open segment with one fancy
+    index add and pools with one fold over the matrix.  The estimate is
+    bit-identical to walking one level -> seconds dict per call (kept as
+    the test oracle in ``tests/golden_mbac.py``), because the fold keeps
+    that walk's arithmetic:
+
+    1. *Per-level mass is a left fold* from the departed mass through
+       every live row in admission order.  ``np.bincount`` with weights
+       adds the cells one at a time in array order; ``sum(axis=0)``
+       may sum pairwise and is not used.  Absent levels are 0.0, an
+       exact no-op.
+    2. *The total sums the levels in the walk's key order*: departed
+       levels in first-departure order, then the rest by the first
+       live row (in admission order) holding each, and within that row
+       by creation stamp.  Python's ``sum`` does the adding, as it did
+       in the walk.
+    3. *Every arrival splits every open segment at its time*; a cell
+       is the sum of its pieces (never ``n * t - sum(starts)``).
+
+    Callers pass times as Python floats (the engine clock's), as the
+    walk's dict values were.
     """
 
     def __init__(
@@ -256,49 +316,139 @@ class MemoryMBAC:
         self.failure_target = failure_target
         self.min_history_seconds = min_history_seconds
         self.retain_departed = retain_departed
-        self._tracker = _ReservationTracker()
-        # Per-call accumulated seconds at each level, plus the open segment.
-        self._history: Dict[object, Dict[float, float]] = {}
-        self._segment_start: Dict[object, float] = {}
-        self._departed_mass: Dict[float, float] = defaultdict(float)
+        self._allocate(rows=16, columns=8)
+
+    def _allocate(self, rows: int, columns: int) -> None:
+        self._row_of: Dict[object, int] = {}
+        self._ids: List[object] = [None]  # call id per row; None = free
+        self._column_of: Dict[float, int] = {}
+        self._levels = np.zeros(columns)
+        self._seconds = np.zeros((rows, columns))
+        self._born = np.zeros((rows, columns), dtype=np.int64)
+        self._start = np.zeros(rows)
+        self._level = np.zeros(rows, dtype=np.intp)
+        self._live = np.zeros(rows, dtype=bool)
+        self._clock = 0  # creation stamps handed out so far
+        self._holes = 0  # departed rows not yet compacted away
+        self._accrued = False  # any cell ever nonzero
+        self._fold_columns = np.tile(np.arange(columns), rows)
+
+    def _resize(self, rows: int, columns: int) -> None:
+        self._seconds = _padded(self._seconds, (rows, columns))
+        self._born = _padded(self._born, (rows, columns))
+        self._levels = _padded(self._levels, (columns,))
+        self._start = _padded(self._start, (rows,))
+        self._level = _padded(self._level, (rows,))
+        self._live = _padded(self._live, (rows,))
+        self._fold_columns = np.tile(np.arange(columns), rows)
 
     @property
     def num_active(self) -> int:
-        return self._tracker.num_active
+        return len(self._row_of)
 
     # ------------------------------------------------------------------
-    def _close_segment(self, call_id, time: float) -> None:
-        start = self._segment_start.get(call_id)
-        if start is None:
-            return
-        rate = self._tracker.current_rate.get(call_id)
-        if rate is None:
-            return
-        elapsed = max(0.0, time - start)
+    def _column(self, level: float) -> int:
+        column = self._column_of.get(level)
+        if column is None:
+            column = len(self._column_of)
+            if column == self._levels.size:
+                # A few columns at a time: the fold walks every one.
+                self._resize(self._start.size, column + 8)
+            self._levels[column] = level
+            self._column_of[level] = column
+        return column
+
+    def _new_row(self) -> int:
+        row = len(self._ids)
+        if row == self._start.size:
+            if self._holes:
+                self._compact()
+                row = len(self._ids)
+            if row == self._start.size:
+                self._resize(2 * row, self._levels.size)
+        self._ids.append(None)
+        return row
+
+    def _compact(self) -> None:
+        """Squeeze out departed rows, keeping admission order."""
+        rows = len(self._ids)
+        keep = np.flatnonzero(self._live[:rows])
+        kept = keep.size + 1
+        for column in (self._start, self._level, self._live):
+            column[1:kept] = column[keep]
+        self._live[kept:rows] = False
+        for matrix in (self._seconds, self._born):
+            matrix[1:kept] = matrix[keep]
+        self._seconds[kept:rows] = 0.0
+        self._ids = [None] + [self._ids[row] for row in keep.tolist()]
+        self._row_of = {call_id: row for row, call_id in enumerate(self._ids) if row}
+        self._holes = 0
+
+    def _close(self, rows: np.ndarray, time: float) -> None:
+        """Close the open segments of ``rows`` at ``time`` (rule 3)."""
+        elapsed = time - self._start[rows]
+        grew = elapsed > 0.0
+        if grew.any():
+            rows_grew = rows[grew]
+            columns = self._level[rows_grew]
+            cells = self._seconds[rows_grew, columns]
+            fresh = cells == 0.0
+            if fresh.any():
+                # One stamp serves them all: a close adds at most one
+                # cell per row, and stamps only order cells in a row.
+                self._born[rows_grew[fresh], columns[fresh]] = self._clock
+                self._clock += 1
+                self._accrued = True
+            self._seconds[rows_grew, columns] = cells + elapsed[grew]
+        self._start[rows] = time
+
+    def _close_one(self, row: int, time: float) -> None:
+        """:meth:`_close` for a single row, without the array round trip."""
+        elapsed = time - float(self._start[row])
         if elapsed > 0.0:
-            self._history[call_id][rate] += elapsed
-        self._segment_start[call_id] = time
+            column = self._level[row]
+            cell = self._seconds[row, column]
+            if cell == 0.0:
+                self._born[row, column] = self._clock
+                self._clock += 1
+                self._accrued = True
+            self._seconds[row, column] = cell + elapsed
+        self._start[row] = time
 
     def pooled_history(
         self, time: float
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """(levels, fractions) pooled over the tracked call histories."""
-        mass: Dict[float, float] = defaultdict(float)
-        mass.update(self._departed_mass)
-        for call_id in self._history:
-            self._close_segment(call_id, time)
-            for level, seconds in self._history[call_id].items():
-                mass[level] += seconds
-        total = sum(mass.values())
+        rows = len(self._ids)
+        self._close(np.flatnonzero(self._live[:rows]), time)
+        if not self._accrued:
+            return None  # exact: every mass, hence the total, is 0
+        # Rule 1: bincount adds every cell to its level's mass in array
+        # order -- row 0 (departed) first, then the live rows in
+        # admission order -- starting from 0.0.
+        width = self._levels.size
+        mass = np.bincount(
+            self._fold_columns[: rows * width],
+            weights=self._seconds[:rows].ravel(),
+            minlength=width,
+        )
+        held = np.flatnonzero(mass > 0.0)
+        # Rule 2: the first row holding each level.  Departed levels are
+        # held by row 0; only the others need a scan down the rows.
+        first = np.zeros(held.size, dtype=np.intp)
+        scan = self._seconds[0, held] == 0.0
+        if scan.any():
+            first[scan] = (self._seconds[:rows, held[scan]] != 0.0).argmax(axis=0)
+        walk = np.lexsort((self._born[first, held], first))
+        total = sum(mass[held[walk]].tolist())
         if total <= max(self.min_history_seconds, 0.0):
             return None
-        levels = np.asarray(sorted(mass), dtype=float)
-        fractions = np.asarray([mass[level] for level in levels]) / total
-        return levels, fractions
+        held = held[np.argsort(self._levels[held])]
+        return self._levels[held], mass[held] / total
 
     # ------------------------------------------------------------------
     def admit(self, capacity: float, time: float, call_class: int = 0) -> bool:
-        active = self._tracker.num_active
+        active = len(self._row_of)
         if active == 0:
             return True
         pooled = self.pooled_history(time)
@@ -311,22 +461,123 @@ class MemoryMBAC:
     def on_admit(
         self, call_id, initial_rate: float, time: float, call_class: int = 0
     ) -> None:
-        self._tracker.on_admit(call_id, initial_rate, time)
-        self._history[call_id] = defaultdict(float)
-        self._segment_start[call_id] = time
+        column = self._column(initial_rate)
+        row = self._row_of.get(call_id)
+        if row is None:
+            row = self._new_row()
+            self._row_of[call_id] = row
+            self._ids[row] = call_id
+            self._live[row] = True
+        else:
+            self._seconds[row] = 0.0  # a re-admission restarts the history
+        self._start[row] = time
+        self._level[row] = column
 
     def on_reservation(self, call_id, new_rate: float, time: float) -> None:
-        self._close_segment(call_id, time)
-        self._tracker.on_reservation(call_id, new_rate, time)
+        row = self._row_of.get(call_id)
+        if row is not None:
+            self._close_one(row, time)
+            self._level[row] = self._column(new_rate)
+
+    def on_reservation_batch(self, call_ids, new_rates, time: float) -> None:
+        """One epoch's renegotiation outcomes at once; identical to one
+        :meth:`on_reservation` per pair, in order."""
+        row_of = self._row_of
+        rows = np.fromiter(
+            (row_of.get(call_id, 0) for call_id in np.asarray(call_ids).tolist()),
+            dtype=np.intp,
+        )
+        columns = np.fromiter(
+            map(self._column, np.asarray(new_rates).tolist()), dtype=np.intp
+        )
+        tracked = rows > 0
+        if not tracked.all():
+            rows = rows[tracked]
+            columns = columns[tracked]
+        # A call listed twice closes once (the second close spans zero
+        # seconds) and keeps its last rate, as the scalar sequence does.
+        self._close(rows, time)
+        self._level[rows] = columns
 
     def on_departure(self, call_id, time: float) -> None:
-        self._close_segment(call_id, time)
-        self._tracker.on_departure(call_id, time)
-        history = self._history.pop(call_id, None)
-        self._segment_start.pop(call_id, None)
-        if self.retain_departed and history:
-            for level, seconds in history.items():
-                self._departed_mass[level] += seconds
+        row = self._row_of.pop(call_id, None)
+        if row is None:
+            return
+        self._close_one(row, time)
+        history = self._seconds[row, : len(self._column_of)]
+        if self.retain_departed:
+            departed = self._seconds[0, : history.size]
+            fresh = np.flatnonzero((departed == 0.0) & (history != 0.0))
+            if fresh.size:
+                # New departed levels keep this call's creation order.
+                fresh = fresh[np.argsort(self._born[row, fresh])]
+                self._born[0, fresh] = np.arange(
+                    self._clock, self._clock + fresh.size
+                )
+                self._clock += fresh.size
+            departed += history
+        history.fill(0.0)
+        self._live[row] = False
+        self._ids[row] = None
+        self._holes += 1
+        if self._holes > 8 + len(self._row_of) // 4:
+            self._compact()
+
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        """Only the live rows and the used level columns, with every
+        nonzero cell listed in (row, creation) order so its position in
+        the list is its restored creation stamp."""
+        live = np.flatnonzero(self._live[: len(self._ids)])
+        rows = np.concatenate(([0], live))
+        block = self._seconds[rows, : len(self._column_of)]
+        cell_row, cell_column = np.nonzero(block)
+        order = np.lexsort((self._born[rows[cell_row], cell_column], cell_row))
+        cell_row = cell_row[order]
+        cell_column = cell_column[order]
+        return {
+            "failure_target": self.failure_target,
+            "min_history_seconds": self.min_history_seconds,
+            "retain_departed": self.retain_departed,
+            "ids": [self._ids[row] for row in live.tolist()],
+            "levels": self._levels[: len(self._column_of)].copy(),
+            "start": self._start[live],
+            "level": self._level[live].astype(np.int32),
+            "cells_per_row": np.bincount(cell_row, minlength=rows.size).astype(
+                np.int32
+            ),
+            "cell_column": cell_column.astype(np.int32),
+            "cell_seconds": block[cell_row, cell_column],
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.failure_target = state["failure_target"]
+        self.min_history_seconds = state["min_history_seconds"]
+        self.retain_departed = state["retain_departed"]
+        ids = list(state["ids"])  # type: ignore[arg-type]
+        levels = np.asarray(state["levels"])
+        rows = len(ids) + 1
+        self._allocate(rows=max(16, 2 * rows), columns=max(8, levels.size))
+        for level in levels.tolist():
+            self._column(level)
+        self._ids = [None] + ids
+        self._row_of = {call_id: row for row, call_id in enumerate(ids, 1)}
+        self._start[1:rows] = state["start"]
+        self._level[1:rows] = state["level"]
+        self._live[1:rows] = True
+        cell_row = np.repeat(np.arange(rows), state["cells_per_row"])
+        cell_column = np.asarray(state["cell_column"], dtype=np.intp)
+        self._seconds[cell_row, cell_column] = state["cell_seconds"]
+        self._born[cell_row, cell_column] = np.arange(cell_row.size)
+        self._clock = int(cell_row.size)
+        self._accrued = bool(cell_row.size)
+
+
+def _padded(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``array`` zero-padded at the end of every axis to ``shape``."""
+    padded = np.zeros(shape, dtype=array.dtype)
+    padded[tuple(slice(0, size) for size in array.shape)] = array
+    return padded
 
 
 class HeterogeneousKnowledgeCAC:

@@ -64,7 +64,8 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 
 #: Bump when the state layout changes; mismatched checkpoints are stale.
 #: Schema 2: the link and port keep per-source state in slot tables.
-CHECKPOINT_SCHEMA = 2
+#: Schema 3: ``MemoryMBAC`` pickles its columnar histories.
+CHECKPOINT_SCHEMA = 3
 
 
 class CheckpointError(RuntimeError):

@@ -170,6 +170,57 @@ class TestBitExactResume:
             assert resumed.fleet._pool is not None
 
 
+class TestMemoryControllerChurn:
+    """The columnar memory MBAC resumes bit-exactly mid-churn: calls
+    arrive, are blocked, downgraded, abandon and depart on both sides of
+    the checkpoint."""
+
+    def build(self, workload, shards):
+        return build_gateway(
+            workload,
+            config(
+                workload,
+                load=1.2,
+                controller="memory",
+                failure_target=0.05,
+                num_hops=3,
+                upstream_headroom=1.0,
+                overload_policy="downgrade",
+                overload_enter=0.7,
+                overload_exit=0.5,
+                overload_dwell=2,
+                abandon_after=2,
+                mean_holding=6.0,
+                initial_calls=40,
+                shards=shards,
+                shard_chunk=16,
+            ),
+        )
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_save_kill_restore_matches_uninterrupted(
+        self, workload, tmp_path, shards
+    ):
+        path = tmp_path / "gw.ckpt"
+        with self.build(workload, shards) as reference:
+            reference.run(4.0, snapshot_every=1.0)
+            expected = reference.run(4.0, snapshot_every=1.0).fingerprint
+            assert reference.blocked > 0 and reference.abandoned > 0
+            assert reference.departed > reference.abandoned
+            assert reference.overload_plane.policy.calls_shrunk > 0
+
+        with self.build(workload, shards) as first:
+            first.run(4.0, snapshot_every=1.0)
+            assert first.departed > 0
+            first.save(path)
+
+        with self.build(workload, shards) as resumed:
+            resumed.restore(path)
+            report = resumed.run(4.0, snapshot_every=1.0)
+
+        assert report.fingerprint == expected
+
+
 class TestGeneratorRoundTrip:
     """Satellite: every spawned stream restores to identical draws."""
 
@@ -260,18 +311,24 @@ class TestStaleness:
         assert meta["time"] == pytest.approx(1.0, abs=0.1)
         assert meta["next_tick"] > 0
 
-    def test_schema_one_payload_is_refused(self, workload, tmp_path):
-        # Schema 1 predates the slot-table link and port layouts.
-        path = tmp_path / "gw.ckpt"
+    def assert_schema_refused(self, workload, path, schema):
         cfg = self.write(workload, path)
         payload = pickle.loads(path.read_bytes())
-        payload["schema"] = 1
+        payload["schema"] = schema
         path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(StaleCheckpointError, match="schema 1"):
+        with pytest.raises(StaleCheckpointError, match=f"schema {schema}"):
             read_checkpoint(path, cfg)
         with build_case(workload, "plain") as gateway:
             with pytest.raises(StaleCheckpointError, match="schema"):
                 gateway.restore(path)
+
+    def test_schema_one_payload_is_refused(self, workload, tmp_path):
+        # Schema 1 predates the slot-table link and port layouts.
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 1)
+
+    def test_schema_two_payload_is_refused(self, workload, tmp_path):
+        # Schema 2 pickled MemoryMBAC's per-call history dicts.
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 2)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
