@@ -17,7 +17,12 @@ can swap them:
 
 Controllers observe the system through callbacks (`on_admit`,
 `on_reservation`, `on_departure`) so they never peek at simulator
-internals they could not see in a real switch.
+internals they could not see in a real switch.  A controller may add
+exact batch forms: ``on_reservation_batch``, and the pair
+``admit_batch``/``on_admit_batch``, which the server gateway's preload
+uses for a burst of simultaneous arrivals.  Only a controller whose
+decisions do not depend on the burst's own admissions can offer the
+pair (:class:`AlwaysAdmit` does).
 """
 
 from __future__ import annotations
@@ -139,10 +144,23 @@ class AlwaysAdmit:
     def admit(self, capacity: float, time: float, call_class: int = 0) -> bool:
         return True
 
+    def admit_batch(
+        self, capacity: float, time: float, call_classes: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`admit` for each of a burst of arrivals at ``time``."""
+        return np.ones(len(call_classes), dtype=bool)
+
     def on_admit(
         self, call_id, initial_rate: float, time: float, call_class: int = 0
     ) -> None:
         self._tracker.on_admit(call_id, initial_rate, time)
+
+    def on_admit_batch(
+        self, call_ids, initial_rates, time: float, call_classes=None
+    ) -> None:
+        """:meth:`on_admit` per entry, in order (ids and rates as the
+        Python scalars :meth:`on_admit` takes)."""
+        self._tracker.current_rate.update(zip(call_ids, initial_rates))
 
     def on_reservation(self, call_id, new_rate: float, time: float) -> None:
         self._tracker.on_reservation(call_id, new_rate, time)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 
 class OfferedLoadAccountant:
     """Per-class call-lifecycle tallies for one gateway run."""
@@ -45,6 +47,21 @@ class OfferedLoadAccountant:
 
     def on_departure(self, call_class: int) -> None:
         self.departed[self._check(call_class)] += 1
+
+    def record_batch(self, tally: str, call_classes: np.ndarray) -> None:
+        """One ``on_<tally>`` per entry of ``call_classes`` (``tally`` is
+        ``"arrivals"``, ``"blocked"``, ``"admitted"`` or ``"departed"``),
+        added as per-class counts."""
+        classes = np.asarray(call_classes, dtype=np.int64)
+        if classes.size == 0:
+            return
+        self._check(int(classes.min()))
+        self._check(int(classes.max()))
+        counts = getattr(self, tally)
+        for call_class, count in enumerate(
+            np.bincount(classes, minlength=self.num_classes).tolist()
+        ):
+            counts[call_class] += count
 
     def active(self) -> List[int]:
         """Calls in service per class (admitted minus departed)."""

@@ -562,6 +562,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"server benchmark ({result['num_calls']} concurrent calls, "
               f"{runtime}):")
+        print(f"  startup:         {result['startup_seconds']:.2f} s "
+              f"(preload {result['build_seconds']:.2f} s)")
         print(f"  simulated:       {result['simulated_seconds']:.2f} s in "
               f"{result['run_seconds']:.2f} s wall "
               f"({result['epochs']} epochs)")

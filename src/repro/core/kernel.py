@@ -311,6 +311,25 @@ class RenegotiationKernel:
         """
         return self.quantize(first_slot_bits / self.slot_duration)
 
+    def initial_rates(self, first_slot_bits: np.ndarray) -> np.ndarray:
+        """:meth:`initial_rate` per entry, float-for-float.
+
+        The same operations in the same order as :func:`quantize`; the
+        ``+ 0.0`` turns the ``-0.0`` that ``np.ceil`` gives for a zero
+        estimate into the ``0.0`` that the scalar ``math.ceil`` gives.
+        """
+        params = self.params
+        rates = np.divide(first_slot_bits, self.slot_duration, dtype=float)
+        np.maximum(rates, 0.0, out=rates)
+        rates /= params.granularity
+        rates -= QUANTIZE_EPSILON
+        np.ceil(rates, out=rates)
+        rates *= params.granularity
+        rates += 0.0
+        if params.max_rate is not None:
+            np.minimum(rates, params.max_rate, out=rates)
+        return rates
+
     def step(
         self,
         state: "KernelState | KernelStateView",

@@ -384,9 +384,7 @@ class ScenarioGateway(RcbrGateway):
         fleet = self._fleets[group]
         self.arrivals += 1
         stats.arrivals += 1
-        call_class = int(
-            self._overload_rng.choice(self.num_classes, p=self._class_probs)
-        )
+        call_class = self._draw_class()
         self.offered.on_arrival(call_class)
         shift = int(
             self._call_rng.integers(self._group_workloads[group].num_slots)

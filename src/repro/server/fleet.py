@@ -31,7 +31,7 @@ reductions (total buffered bits, total reserved rate) are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -186,6 +186,50 @@ class CallFleet:
         if self.num_active > self.peak_active:
             self.peak_active = self.num_active
         return slot, initial_rate
+
+    def admit_batch(
+        self, call_ids: Sequence[int], shifts: np.ndarray, call_classes: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`admit` per entry, in order, as one column write each.
+
+        Slots come off the free list in the scalar path's LIFO order,
+        growing the pool exactly when the scalar path would (only ever
+        when the free list is empty), and the initial rates are
+        :meth:`~repro.core.kernel.RenegotiationKernel.initial_rates`, so
+        every column ends bit-identical to a loop of :meth:`admit`.
+        Arguments are validated up front: a bad entry raises with
+        nothing admitted.  Returns ``(pool_slots, initial_rates)``.
+        """
+        shifts = np.asarray(shifts, dtype=np.int64)
+        call_classes = np.asarray(call_classes, dtype=np.int64)
+        count = int(shifts.size)
+        if count == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        if int(call_classes.min()) < 0:
+            raise ValueError("call_class must be non-negative")
+        if int(shifts.min()) < 0 or int(shifts.max()) >= self._num_base_slots:
+            raise ValueError(f"shift must be in [0, {self._num_base_slots})")
+        taken: list = []
+        while len(taken) < count:
+            if not self._free:
+                self._grow()
+            chunk = self._free[len(taken) - count:]
+            del self._free[len(taken) - count:]
+            taken.extend(reversed(chunk))
+        slots = np.asarray(taken, dtype=np.int64)
+        initial_rates = self._kernel.initial_rates(self._bits[shifts])
+        self.active[slots] = True
+        self.shift[slots] = shifts
+        self._state.rate[slots] = initial_rates
+        self._state.estimate[slots] = initial_rates
+        self._state.buffer[slots] = 0.0
+        self.pending[slots] = False
+        self.streak[slots] = 0
+        self.call_id[slots] = call_ids
+        self.call_class[slots] = call_classes
+        self.num_active += count
+        self.peak_active = max(self.peak_active, self.num_active)
+        return slots, initial_rates
 
     def remove(self, slot: int) -> None:
         """Release a pool slot, zeroing its state exactly."""

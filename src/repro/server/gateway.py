@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -215,13 +216,18 @@ class RcbrGateway:
         # Service classes + class-aware offered-load accounting: classes
         # are drawn from the dedicated overload stream, so the legacy
         # streams (and hence block-only fingerprints) are untouched.
+        # The draw is numpy's own ``Generator.choice(k, p=...)``
+        # algorithm on a CDF built once: one ``random()`` per call,
+        # bisected on the right, without choice's per-call validation.
         self.num_classes = config.overload_classes
         weights = (
             np.asarray(config.class_weights, dtype=float)
             if config.class_weights is not None
             else np.ones(self.num_classes)
         )
-        self._class_probs = weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._class_cdf = cdf.tolist()
         self.offered = OfferedLoadAccountant(self.num_classes)
 
         # The overload control plane — block means "no plane": the
@@ -330,12 +336,14 @@ class RcbrGateway:
     # ------------------------------------------------------------------
     # Call lifecycle
     # ------------------------------------------------------------------
+    def _draw_class(self) -> int:
+        """One arriving call's service class (``Generator.choice`` exactly)."""
+        return bisect_right(self._class_cdf, self._overload_rng.random())
+
     def _admit_call(self, now: float) -> Optional[int]:
         """Offer one call; returns its id if admitted, None if blocked."""
         self.arrivals += 1
-        call_class = int(
-            self._overload_rng.choice(self.num_classes, p=self._class_probs)
-        )
+        call_class = self._draw_class()
         self.offered.on_arrival(call_class)
         if not self.controller.admit(
             self.config.capacity, now, call_class=call_class
@@ -368,6 +376,54 @@ class RcbrGateway:
             now + holding, self._handle_departure, slot, call_id
         )
         return call_id
+
+    def _admit_batch(self, count: int, now: float) -> None:
+        """``count`` x :meth:`_admit_call` at ``now``, bit-identical, as
+        one vector admission (the exactness rules are in :meth:`preload`)."""
+        self.arrivals += count
+        classes = np.searchsorted(
+            self._class_cdf, self._overload_rng.random(count), side="right"
+        )
+        self.offered.record_batch("arrivals", classes)
+        admitted = self.controller.admit_batch(
+            self.config.capacity, now, classes
+        )
+        if not bool(admitted.all()):
+            self.blocked += int(np.count_nonzero(~admitted))
+            self.offered.record_batch("blocked", classes[~admitted])
+            classes = classes[admitted]
+        count = int(classes.size)
+        shifts = np.empty(count, dtype=np.int64)
+        holdings: List[float] = []
+        draw_shift = self._call_rng.integers
+        draw_holding = self._call_rng.exponential
+        num_slots = self.workload.num_slots
+        mean_holding = self.mean_holding
+        for index in range(count):
+            shifts[index] = draw_shift(num_slots)
+            holdings.append(draw_holding(mean_holding))
+
+        first_id = next(self._call_ids)
+        self._call_ids = itertools.count(first_id + count)
+        call_ids = list(range(first_id, first_id + count))
+        slots, initial_rates = self.fleet.admit_batch(call_ids, shifts, classes)
+        granted, failures = self.link.request_batch(slots, initial_rates, now)
+        self.setup_shortfalls += failures
+        self.fleet.rate[slots] = granted
+        for port in self.ports:
+            port.provision_batch(slots, granted)
+        self.controller.on_admit_batch(
+            call_ids, granted.tolist(), now, call_classes=classes
+        )
+        self.admitted += count
+        self.offered.record_batch("admitted", classes)
+        schedule_at = self.engine.schedule_at
+        departure = self._handle_departure
+        events = self._departure_events
+        for slot, call_id, holding in zip(slots.tolist(), call_ids, holdings):
+            events[call_id] = schedule_at(
+                now + holding, departure, slot, call_id
+            )
 
     def _handle_arrival(self) -> None:
         self._admit_call(self.engine.now)
@@ -772,12 +828,36 @@ class RcbrGateway:
         Idempotent; :meth:`run` calls it automatically on first use.  The
         throughput benchmark calls it explicitly so fleet construction is
         not charged against the timed steady-state serving loop.
+
+        A controller with ``admit_batch`` (always-admit) takes the whole
+        fleet as one vector admission, :meth:`_admit_batch`, which leaves
+        every byte of :meth:`state_dict` as the per-call loop of
+        :meth:`_admit_call` would; any other controller takes that loop.
+        The batch is exact because:
+
+        * the classes are one ``random(n)`` draw on the overload stream,
+          searched on the right in the class CDF — ``Generator.choice``'s
+          own algorithm, stream-identical to n scalar draws;
+        * shift and holding time stay interleaved per-call scalar draws
+          on the call stream (two array draws would reorder it: PCG64
+          keeps the unused half of a 64-bit output for the next 32-bit
+          draw);
+        * the fleet pops slots in the scalar LIFO order and grows when
+          the scalar path would; the link's ``request_batch`` and the
+          ports' ``provision_batch`` evolve their running sums as
+          ``np.cumsum`` left folds (the link falls back to per-call
+          requests when a setup would be granted only in part);
+        * departures are pushed one by one in call order, so the heap's
+          layout, and with it the checkpoint, is the per-call one.
         """
         if self._preloaded:
             return
         self._preloaded = True
-        for _ in range(self.config.initial_calls):
-            self._admit_call(0.0)
+        if hasattr(self.controller, "admit_batch"):
+            self._admit_batch(self.config.initial_calls, 0.0)
+        else:
+            for _ in range(self.config.initial_calls):
+                self._admit_call(0.0)
         self._schedule_next_arrival()
 
     def run(

@@ -133,6 +133,23 @@ class SwitchPort:
         self.utilization += rate
         self._bump_vci(vci, rate)
 
+    def provision_batch(self, vcis: Sequence, rates: np.ndarray) -> None:
+        """:meth:`provision` per entry, in order (non-negative VCIs, none
+        repeated).  Every rate is checked before any state changes, and
+        the utilization is the scalar loop's running sum as one
+        ``np.cumsum`` left fold."""
+        vcis = np.asarray(vcis, dtype=np.int64)
+        rates = np.asarray(rates, dtype=np.float64)
+        if rates.size == 0:
+            return
+        if np.any(rates < 0):
+            raise ValueError("rates must be non-negative")
+        if int(vcis.min()) < 0:
+            raise ValueError("provision_batch takes non-negative VCIs only")
+        totals = np.cumsum(np.concatenate(([self.utilization], rates)))
+        self.utilization = float(totals[-1])
+        self._bump_vci_batch(vcis, rates)
+
     def reprovision(self, vci: int, delta: float) -> None:
         """Adjust a connection's reservation by ``delta`` switch-side.
 
@@ -342,11 +359,20 @@ class SwitchPort:
 
     def _bump_vci_batch(self, vcis: Sequence, deltas: np.ndarray) -> None:
         """:meth:`_bump_vci` per entry as one fancy index (non-negative
-        VCIs, none repeated within a batch)."""
+        VCIs, none repeated within a batch).  As there, the column grows
+        only for an entry that stores a nonzero rate; past the column the
+        old rate is zero, so an entry there whose delta is at most
+        ``1e-12`` is a no-op."""
         if self._vci_rates is None or len(deltas) == 0:
             return
         vcis = np.asarray(vcis, dtype=np.int64)
-        table = self._vci_rates = grown(self._vci_rates, int(vcis.max()) + 1)
+        table = self._vci_rates
+        if int(vcis.max()) >= table.size:
+            stored = vcis[deltas > 1e-12]
+            if stored.size:
+                table = self._vci_rates = grown(table, int(stored.max()) + 1)
+            inside = vcis < table.size
+            vcis, deltas = vcis[inside], deltas[inside]
         new_rates = table[vcis] + deltas
         table[vcis] = np.where(new_rates <= 1e-12, 0.0, new_rates)
 

@@ -224,8 +224,10 @@ class TestServe:
         text = capsys.readouterr().out
         assert "server benchmark (100 concurrent calls, plain):" in text
         assert "realtime factor:" in text
+        assert "startup:" in text
         payload = json.loads(out.read_text())
         assert payload["context"]["realtime_factor"] > 0
+        assert payload["history"][-1]["startup_seconds"] >= 0
         assert any(r["name"] == "server/run" for r in payload["records"])
 
     def test_serve_rejects_unknown_controller(self):

@@ -287,3 +287,28 @@ class TestStateBlock:
         kernel = RenegotiationKernel(params, SLOT)
         assert kernel.initial_rate(0.0) == 0.0
         assert kernel.initial_rate(1_000.0) == kernel.quantize(1_000.0 / SLOT)
+
+    @pytest.mark.parametrize("max_rate", [None, 3e6])
+    @pytest.mark.parametrize("granularity", [64_000.0, 137_000.5])
+    def test_initial_rates_match_scalar_float_for_float(
+        self, granularity, max_rate
+    ):
+        params = OnlineParams(granularity=granularity, max_rate=max_rate)
+        kernel = RenegotiationKernel(params, SLOT)
+        rng = np.random.default_rng(9)
+        grid = granularity * np.arange(60) * SLOT
+        bits = np.concatenate(
+            [
+                rng.uniform(0.0, 2e5, size=400),
+                grid,  # first-slot rates exactly on grid lines
+                np.nextafter(grid, np.inf),
+                np.nextafter(grid, -np.inf).clip(0.0),
+                [0.0, 1e-300, 1e9],  # zero, dust, far above the cap
+            ]
+        )
+        rates = kernel.initial_rates(bits)
+        expected = [kernel.initial_rate(float(value)) for value in bits]
+        # Bit patterns, not ==: a -0.0 would compare equal to 0.0.
+        assert rates.tobytes() == np.asarray(expected).tobytes()
+        if max_rate is not None:
+            assert rates.max() == max_rate

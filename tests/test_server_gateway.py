@@ -217,6 +217,7 @@ class TestBenchmark:
             assert leg["num_calls"] == 200
             assert leg["shards"] == 0
             assert leg["call_epochs_per_second"] > 0
+            assert leg["startup_seconds"] >= 0
         # A pre-history artifact (single run in "context") still yields
         # a one-leg history, so old committed baselines keep gating.
         legacy = tmp_path / "legacy.json"

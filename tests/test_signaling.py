@@ -99,6 +99,73 @@ class TestSwitchPort:
             SwitchPort(0.0)
 
 
+class TestProvisionBatch:
+    """``provision_batch`` is a loop of ``provision``, bit for bit."""
+
+    @staticmethod
+    def twins(track_per_vci, seed):
+        ports = [
+            SwitchPort(1e6, track_per_vci=track_per_vci) for _ in range(2)
+        ]
+        # Shared history: some VCIs already hold rates, some were freed.
+        rng = np.random.default_rng(seed)
+        for port in ports:
+            history = np.random.default_rng(seed)
+            for vci in history.choice(40, size=12, replace=False).tolist():
+                port.provision(vci, float(history.uniform(0.0, 5e4)))
+            port.release(int(history.integers(40)))
+        return ports, rng
+
+    @staticmethod
+    def assert_same(scalar, batch):
+        assert batch.utilization == scalar.utilization
+        assert type(batch.utilization) is float
+        if scalar._vci_rates is None:
+            assert batch._vci_rates is None
+        else:
+            assert scalar._vci_rates.tobytes() == batch._vci_rates.tobytes()
+
+    @pytest.mark.parametrize("track_per_vci", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_provision_loop(self, track_per_vci, seed):
+        (scalar, batch), rng = self.twins(track_per_vci, seed)
+        for _ in range(3):
+            vcis = rng.permutation(200)[: int(rng.integers(1, 80))]
+            rates = rng.uniform(0.0, 1e5, size=vcis.size)
+            # Zero and sub-epsilon rates, including past the column's end,
+            # where the scalar path stores nothing and does not grow.
+            rates[rng.random(vcis.size) < 0.2] = 0.0
+            rates[rng.random(vcis.size) < 0.1] = 1e-13
+            for vci, rate in zip(vcis.tolist(), rates.tolist()):
+                scalar.provision(vci, rate)
+            batch.provision_batch(vcis, rates)
+            self.assert_same(scalar, batch)
+
+    def test_no_growth_for_zero_rate_past_the_column(self):
+        scalar, batch = SwitchPort(1e6), SwitchPort(1e6)
+        scalar.provision(100, 0.0)
+        batch.provision_batch(np.array([100]), np.array([0.0]))
+        self.assert_same(scalar, batch)
+        assert batch._vci_rates.size == 16
+
+    @pytest.mark.parametrize("track_per_vci", [True, False])
+    def test_negative_rate_leaves_port_untouched(self, track_per_vci):
+        port = SwitchPort(1e6, track_per_vci=track_per_vci)
+        port.provision(3, 500.0)
+        before = port.state_dict()
+        with pytest.raises(ValueError):
+            port.provision_batch(np.array([1, 2, 4]), np.array([10.0, -1.0, 5.0]))
+        after = port.state_dict()
+        assert after["utilization"] == before["utilization"]
+        if track_per_vci:
+            assert after["vci_rates"].tobytes() == before["vci_rates"].tobytes()
+
+    def test_empty_batch_is_a_no_op(self):
+        port = SwitchPort(1e6)
+        port.provision_batch(np.empty(0, dtype=np.int64), np.empty(0))
+        assert port.utilization == 0.0
+
+
 class TestSignalingPath:
     def test_all_hops_must_accept(self):
         ports = [SwitchPort(1000.0), SwitchPort(300.0), SwitchPort(1000.0)]
