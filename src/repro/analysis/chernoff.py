@@ -23,7 +23,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 
 def _validated(levels: Sequence[float], probs: Sequence[float]):
@@ -41,11 +40,46 @@ def _validated(levels: Sequence[float], probs: Sequence[float]):
     return levels, probs / total
 
 
+def _peak(levels: np.ndarray, probs: np.ndarray) -> float:
+    """The largest level that carries mass: zero-weight levels never occur."""
+    return float(levels[probs > 0].max())
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray) -> float:
+    """``log(sum(b * exp(a)))`` for 1-D float arrays with ``b >= 0``.
+
+    The arithmetic of ``scipy.special.logsumexp(a, b=b)`` (scipy 1.17's
+    real-input path), step for step and with the same ufuncs on the full
+    arrays, so the result is bit-identical to scipy's without its
+    array-API dispatch: zero weights drop their term, the largest terms
+    are pulled out of the sum for precision, and a non-finite result is
+    replaced by the direct formula.  scipy's sign handling is left out:
+    it only acts on negative weights.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = np.where(b == 0, -np.inf, a)
+        a_max = shifted.max()
+        at_max = shifted == a_max
+        shifted[at_max] = -np.inf
+        m = (b * at_max).sum()
+        s = (b * np.exp(shifted - a_max)).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log((b * np.exp(a)).sum())
+    return float(out)
+
+
+def _log_mgf(levels: np.ndarray, probs: np.ndarray, theta: float) -> float:
+    """Lambda(theta) of an already validated marginal."""
+    return _logsumexp(theta * levels, probs)
+
+
 def log_mgf(levels: Sequence[float], probs: Sequence[float], theta: float) -> float:
     """Lambda(theta) = log E[e^{theta M}] of a discrete random variable."""
     levels, probs = _validated(levels, probs)
-    with np.errstate(divide="ignore"):
-        return float(logsumexp(theta * levels, b=probs))
+    return _log_mgf(levels, probs, theta)
 
 
 def mean_of(levels: Sequence[float], probs: Sequence[float]) -> float:
@@ -58,26 +92,35 @@ def rate_function(
 ) -> float:
     """The Cramer rate function I*(c) = sup_theta [theta c - Lambda(theta)].
 
+    With ``peak`` the largest level of positive probability:
+
     * ``c <= mean``: 0 (no decay — the link is overloaded on average);
-    * ``mean < c < max level``: found from the stationarity condition
-      ``Lambda'(theta) = c`` (the tilted mean), solved by bisection since
-      the tilted mean is increasing in theta;
-    * ``c == max level``: ``-log P(M = max)``;
-    * ``c > max level``: infinity (demand can never reach capacity).
+    * ``mean < c < peak``: found from the stationarity condition
+      ``Lambda'(theta) = c`` (the tilted mean), solved by Brent's method
+      on a doubling bracket since the tilted mean is increasing in theta;
+    * ``c == peak``: ``-log P(M = peak)``;
+    * ``c > peak``: infinity (demand can never reach capacity).
     """
     levels, probs = _validated(levels, probs)
-    c = float(capacity_per_call)
+    return _rate(levels, probs, float(capacity_per_call))
+
+
+def _rate(levels: np.ndarray, probs: np.ndarray, c: float) -> float:
+    """:func:`rate_function` of an already validated marginal."""
     mean = float(levels @ probs)
-    top = float(levels.max())
+    top = _peak(levels, probs)
     if c <= mean:
         return 0.0
     if c > top:
         return math.inf
     if c == top:
         return -math.log(float(probs[levels == top].sum()))
+    # Clipping at zero only touches zero-mass levels above the peak:
+    # their weight stays 0 * exp(0) instead of 0 * inf once theta grows.
+    offsets = np.minimum(levels - top, 0.0)
 
     def tilted_mean(theta: float) -> float:
-        weights = probs * np.exp(theta * (levels - top))
+        weights = probs * np.exp(theta * offsets)
         return float((weights @ levels) / weights.sum())
 
     # Bracket theta*: tilted mean runs from `mean` at 0 to `top` as
@@ -89,7 +132,9 @@ def rate_function(
             # c is (numerically) at the peak.
             return -math.log(float(probs[levels >= top - 1e-9].sum()))
     theta_star = optimize.brentq(lambda t: tilted_mean(t) - c, low, high)
-    return theta_star * c - log_mgf(levels, probs, theta_star)
+    # Renormalising again is not redundant: the estimate's last bits, and
+    # so MBAC decisions, depend on each division (DESIGN.md, Chernoff bound).
+    return theta_star * c - _log_mgf(levels, probs / probs.sum(), theta_star)
 
 
 def overload_probability(
@@ -109,12 +154,20 @@ def overload_probability(
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     levels, probs = _validated(levels, probs)
-    if num_calls * float(levels.max()) <= capacity:
+    return _overload(levels, probs, num_calls, capacity)
+
+
+def _overload(
+    levels: np.ndarray, probs: np.ndarray, num_calls: int, capacity: float
+) -> float:
+    """:func:`overload_probability` of an already validated marginal."""
+    if num_calls * _peak(levels, probs) <= capacity:
         # Even all-peak demand fits: overload is impossible.  (The raw
         # Chernoff exponent cannot distinguish "> capacity" from
         # ">= capacity" at the boundary, so guard exactly.)
         return 0.0
-    rate = rate_function(levels, probs, capacity / num_calls)
+    # Not redundant either: see the log-MGF call in :func:`_rate`.
+    rate = _rate(levels, probs / probs.sum(), float(capacity / num_calls))
     if math.isinf(rate):
         return 0.0
     return math.exp(-num_calls * rate)
@@ -138,21 +191,26 @@ def max_admissible_calls(
     if not 0.0 < failure_target < 1.0:
         raise ValueError("failure_target must be in (0, 1)")
     levels, probs = _validated(levels, probs)
-    if overload_probability(levels, probs, 1, capacity) > failure_target:
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    # Not redundant: see the log-MGF call in :func:`_rate`.
+    probs = probs / probs.sum()
+
+    def estimate(num_calls: int) -> float:
+        return _overload(levels, probs, num_calls, capacity)
+
+    if estimate(1) > failure_target:
         return 0
     low = 1  # feasible
     high = 2
-    while (
-        high <= hard_limit
-        and overload_probability(levels, probs, high, capacity) <= failure_target
-    ):
+    while high <= hard_limit and estimate(high) <= failure_target:
         low = high
         high *= 2
     if high > hard_limit:
         return hard_limit
     while high - low > 1:
         middle = (low + high) // 2
-        if overload_probability(levels, probs, middle, capacity) <= failure_target:
+        if estimate(middle) <= failure_target:
             low = middle
         else:
             high = middle
@@ -206,20 +264,23 @@ def heterogeneous_overload_probability(
     total_mean = sum(
         count * float(levels @ probs) for levels, probs, count in validated
     )
+    peaks = [_peak(levels, probs) for levels, probs, _ in validated]
     total_peak = sum(
-        count * float(levels.max()) for levels, probs, count in validated
+        count * peak for (_, _, count), peak in zip(validated, peaks)
     )
     if capacity >= total_peak:
         return 0.0
     if capacity <= total_mean:
         return 1.0
 
-    shift = max(float(levels.max()) for levels, _, _ in validated)
+    shift = max(peaks)
+    # As in :func:`_rate`: clipping at zero only touches zero-mass levels.
+    offsets = [np.minimum(levels - shift, 0.0) for levels, _, _ in validated]
 
     def tilted_total_mean(theta: float) -> float:
         total = 0.0
-        for levels, probs, count in validated:
-            weights = probs * np.exp(theta * (levels - shift))
+        for (levels, probs, count), offset in zip(validated, offsets):
+            weights = probs * np.exp(theta * offset)
             total += count * float((weights @ levels) / weights.sum())
         return total
 
@@ -231,8 +292,9 @@ def heterogeneous_overload_probability(
     theta_star = optimize.brentq(
         lambda t: tilted_total_mean(t) - capacity, low, high
     )
+    # Not redundant: see the log-MGF call in :func:`_rate`.
     exponent = theta_star * capacity - sum(
-        count * log_mgf(levels, probs, theta_star)
+        count * _log_mgf(levels, probs / probs.sum(), theta_star)
         for levels, probs, count in validated
     )
     return math.exp(-max(exponent, 0.0))
