@@ -20,9 +20,11 @@ the disk layer; ``REPRO_CACHE_DIR`` moves it.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import os
+from typing import Dict, List, Sequence, Tuple
 
 from repro.perf.cache import ResultCache
+from repro.perf.engine import SweepEngine
 from repro.perf.sweeps import (
     BUFFER_BITS,
     GRANULARITY,
@@ -33,6 +35,7 @@ from repro.perf.sweeps import (
     SweepScale,
     current_scale,
     dp_rate_levels,
+    figs7_9_cells,
     optimal_schedule_for,
     starwars_trace_for,
 )
@@ -52,6 +55,7 @@ __all__ = [
     "Scale",
     "disk_cache",
     "dp_rate_levels",
+    "figs7_9_values",
     "fmt",
     "once",
     "optimal_schedule",
@@ -94,6 +98,31 @@ def optimal_schedule(alpha: float = 6e6):
         schedule = optimal_schedule_for(active, alpha=alpha, cache=disk_cache)
         _schedule_memo[memo_key] = schedule
     return schedule
+
+
+def figs7_9_values(
+    schedule, prefix: str, failure_target: float
+) -> List[dict]:
+    """Values of the Figs. 7-9 cells named ``prefix/...``, in grid order.
+
+    The (capacity, load, controller) cells are independent, so the grid
+    goes through the sweep engine: ``REPRO_SWEEP_WORKERS`` fans it out,
+    the disk cache makes figure regeneration free, and the per-cell
+    seeds are the historical values of the old serial loop — results
+    are bit-identical at any worker count.  A failing cell raises its
+    own exception; a partial grid is never returned.
+    """
+    cells = [
+        cell
+        for cell in figs7_9_cells(schedule, scale(), failure_target)
+        if cell.name.startswith(f"{prefix}/")
+    ]
+    engine = SweepEngine(
+        workers=int(os.environ.get("REPRO_SWEEP_WORKERS", "1")),
+        cache=disk_cache,
+        namespace="mbac",
+    )
+    return [result.value for result in engine.run(cells)]
 
 
 def print_table(title: str, headers: Sequence[str], rows) -> None:

@@ -13,20 +13,16 @@ Paper findings:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from benchmarks._common import (
-    disk_cache,
+    figs7_9_values,
     fmt,
     once,
     optimal_schedule,
     print_table,
     scale,
 )
-from repro.perf import SweepEngine
-from repro.perf.sweeps import figs7_9_cells
 
 FAILURE_TARGET = 1e-3
 
@@ -41,22 +37,7 @@ def test_fig7_fig8_memoryless(benchmark, schedule):
     loads = scale().mbac_loads
 
     def run():
-        # The (capacity, load, controller) cells are independent, so the
-        # grid goes through the sweep engine: REPRO_SWEEP_WORKERS fans it
-        # out, the disk cache makes figure regeneration free, and the
-        # per-cell seeds are the same historical values as the old serial
-        # loop — results are bit-identical either way.
-        cells = [
-            cell
-            for cell in figs7_9_cells(schedule, scale(), FAILURE_TARGET)
-            if cell.name.startswith("fig7_8/")
-        ]
-        engine = SweepEngine(
-            workers=int(os.environ.get("REPRO_SWEEP_WORKERS", "1")),
-            cache=disk_cache,
-            namespace="mbac",
-        )
-        values = [result.value for result in engine.run(cells)]
+        values = figs7_9_values(schedule, "fig7_8", FAILURE_TARGET)
         rows = []
         for memoryless, perfect in zip(values[0::2], values[1::2]):
             rows.append(

@@ -14,20 +14,16 @@ Figs. 7-8 show the memoryless scheme failing:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from benchmarks._common import (
-    disk_cache,
+    figs7_9_values,
     fmt,
     once,
     optimal_schedule,
     print_table,
     scale,
 )
-from repro.perf import SweepEngine
-from repro.perf.sweeps import figs7_9_cells
 
 FAILURE_TARGET = 1e-3
 
@@ -42,21 +38,7 @@ def test_memory_mbac_robustness(benchmark, schedule):
     loads = scale().mbac_loads
 
     def run():
-        # Independent cells through the sweep engine (see the Fig. 7-8
-        # benchmark): same historical seeds, bit-identical to the old
-        # serial loop, parallel under REPRO_SWEEP_WORKERS, memoized by
-        # the shared disk cache.
-        cells = [
-            cell
-            for cell in figs7_9_cells(schedule, scale(), FAILURE_TARGET)
-            if cell.name.startswith("fig9/")
-        ]
-        engine = SweepEngine(
-            workers=int(os.environ.get("REPRO_SWEEP_WORKERS", "1")),
-            cache=disk_cache,
-            namespace="mbac",
-        )
-        values = [result.value for result in engine.run(cells)]
+        values = figs7_9_values(schedule, "fig9", FAILURE_TARGET)
         rows = []
         for index in range(0, len(values), 3):
             memoryless, memory, perfect = values[index : index + 3]

@@ -309,7 +309,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import time
 
-    from repro.perf import BenchRecorder, SupervisedSweepEngine, SupervisorPolicy
+    from repro.perf import BenchRecorder, SupervisorPolicy, SweepEngine
 
     workers = _sweep_workers(args)
     scale = _sweep_scale(args)
@@ -332,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = _sweep_cells(
         args.sweep_name, scale, cache, recorder, args.loss_target
     )
-    engine = SupervisedSweepEngine(
+    engine = SweepEngine(
         workers=workers, cache=cache, recorder=recorder,
         namespace=args.sweep_name, policy=policy,
         journal_path=journal, resume=args.resume,
@@ -518,6 +518,106 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+# ----------------------------------------------------------------------
+# The checkpointed run driver shared by `serve` and `scenario run`
+# ----------------------------------------------------------------------
+def _fault_plan(args: argparse.Namespace):
+    """``--fault-plan`` as a :class:`FaultPlan` (inline JSON or a file)."""
+    from repro.faults.injectors import FaultPlan
+
+    if not args.fault_plan:
+        return None
+    if args.fault_plan.lstrip().startswith("{"):
+        return FaultPlan.from_json(args.fault_plan, seed=args.fault_seed)
+    return FaultPlan.from_file(args.fault_plan, seed=args.fault_seed)
+
+
+def _checkpoint_hook(args: argparse.Namespace, lifecycle, target):
+    """The epoch hook: graceful stop and periodic checkpoints.
+
+    It runs at each epoch boundary *before* the epoch is stepped (and,
+    for a scenario, before this tick's background capacity update), so
+    a checkpoint written here resumes bit-exactly: it contains every
+    snapshot due at this boundary and nothing later.  A stop request
+    saves synchronously and ends the run.  The periodic save is
+    deferred: it serializes inline (boundary-consistent) and writes in
+    the background, so the cadence tax is serialization-only.
+    """
+    path = args.checkpoint_path
+
+    def hook(tick: int, _gateway) -> bool:
+        if lifecycle.stop_requested:
+            meta = target.save(path)
+            print(f"\n{lifecycle.signal_name}: stopping at epoch boundary "
+                  f"t={meta['time']:.1f} s; checkpoint "
+                  f"({meta['bytes']:,} bytes) -> {path}",
+                  flush=True)
+            return True
+        if (
+            args.checkpoint_every
+            and tick
+            and tick % args.checkpoint_every == 0
+        ):
+            target.save(path, defer=True)
+        return False
+
+    return hook
+
+
+def _run_checkpointed(
+    args: argparse.Namespace, lifecycle, target, gateway, end_time: float,
+    run, verbs,
+):
+    """Run ``target`` (a gateway or scenario harness) to ``end_time``.
+
+    Handles ``--resume-from`` (``end_time`` is the absolute end, so a
+    checkpoint already past it exits 1) and a second stop signal or
+    Ctrl-C (a partial fingerprint, exit 130).  ``run(remaining, hook)``
+    runs the epochs; ``verbs`` words the messages, e.g. ``("serve",
+    "serving", "served")``.  Returns ``(exit_code, None)`` on an early
+    exit, else ``(None, report)``.
+    """
+    from repro.server.stats import snapshot_fingerprint
+
+    verb, gerund, past = verbs
+    try:
+        with target, lifecycle:
+            if args.resume_from:
+                target.restore(args.resume_from)
+                resumed_at = gateway.engine.now
+                remaining = end_time - resumed_at
+                if remaining <= 0:
+                    print(f"checkpoint {args.resume_from} is already at "
+                          f"t={resumed_at:.1f} s; nothing left of "
+                          f"--duration {end_time:.1f} s to {verb}")
+                    return 1, None
+                print(f"resumed from {args.resume_from} at "
+                      f"t={resumed_at:.1f} s; {gerund} {remaining:.1f} s "
+                      f"more (--duration is the absolute end time)")
+            else:
+                remaining = end_time
+            report = run(
+                remaining, _checkpoint_hook(args, lifecycle, target)
+            )
+    except KeyboardInterrupt:
+        # Second signal (or a Ctrl-C the lifecycle never saw): abandon
+        # the epoch in progress, report what completed, exit 130.
+        print(f"\ninterrupted: {past} {gateway.engine.now:.1f} s, "
+              f"{len(gateway.snapshots)} snapshots, partial fingerprint "
+              f"{snapshot_fingerprint(gateway.snapshots)}")
+        return 130, None
+    return None, report
+
+
+def _stop_exit_code(args: argparse.Namespace, lifecycle) -> int:
+    """``128 + signum`` after a graceful stop, else 0."""
+    if lifecycle.stop_requested:
+        print(f"stopped early by {lifecycle.signal_name}; continue with "
+              f"--resume-from {args.checkpoint_path}")
+        return 128 + (lifecycle.signum or 2)
+    return 0
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the long-lived event-driven RCBR gateway.
 
@@ -534,11 +634,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.faults.injectors import FaultPlan
     from repro.server import ServerConfig, build_gateway, run_server_benchmark
     from repro.server.bench import check_perf_regression
     from repro.server.checkpoint import ServeLifecycle
-    from repro.server.stats import snapshot_fingerprint
 
     if args.bench:
         result = run_server_benchmark(
@@ -654,66 +752,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sacrifice_queue=args.sacrifice_queue,
         sacrifice_max_per_epoch=args.sacrifice_max_per_epoch,
     )
-    faults = None
-    if args.fault_plan:
-        if args.fault_plan.lstrip().startswith("{"):
-            faults = FaultPlan.from_json(args.fault_plan, seed=args.fault_seed)
-        else:
-            faults = FaultPlan.from_file(args.fault_plan, seed=args.fault_seed)
-
-    gateway = build_gateway(workload, config, faults=faults, source=source)
+    gateway = build_gateway(
+        workload, config, faults=_fault_plan(args), source=source
+    )
     lifecycle = ServeLifecycle()
-    checkpoint_path = args.checkpoint_path
-
-    def _serve_hook(tick: int, gw) -> bool:
-        # Runs at each epoch boundary *before* the epoch is stepped, so
-        # a checkpoint written here resumes bit-exactly: it contains
-        # every snapshot due at this boundary and nothing later.
-        if lifecycle.stop_requested:
-            meta = gw.save(checkpoint_path)
-            print(f"\n{lifecycle.signal_name}: stopping at epoch boundary "
-                  f"t={meta['time']:.1f} s; checkpoint "
-                  f"({meta['bytes']:,} bytes) -> {checkpoint_path}",
-                  flush=True)
-            return True
-        if (
-            args.checkpoint_every
-            and tick
-            and tick % args.checkpoint_every == 0
-        ):
-            # Deferred: serialize inline (boundary-consistent), write in
-            # the background so the cadence tax is serialization-only.
-            gw.save(checkpoint_path, defer=True)
-        return False
-
-    try:
-        with gateway, lifecycle:
-            if args.resume_from:
-                gateway.restore(args.resume_from)
-                resumed_at = gateway.engine.now
-                remaining = args.duration - resumed_at
-                if remaining <= 0:
-                    print(f"checkpoint {args.resume_from} is already at "
-                          f"t={resumed_at:.1f} s; nothing left of "
-                          f"--duration {args.duration:.1f} s to serve")
-                    return 1
-                print(f"resumed from {args.resume_from} at "
-                      f"t={resumed_at:.1f} s; serving {remaining:.1f} s "
-                      f"more (--duration is the absolute end time)")
-            else:
-                remaining = args.duration
-            report = gateway.run(
-                remaining,
-                snapshot_every=args.snapshot_every,
-                epoch_hook=_serve_hook,
-            )
-    except KeyboardInterrupt:
-        # Second signal (or a Ctrl-C the lifecycle never saw): abandon
-        # the epoch in progress, report what completed, exit 130.
-        print(f"\ninterrupted: served {gateway.engine.now:.1f} s, "
-              f"{len(gateway.snapshots)} snapshots, partial fingerprint "
-              f"{snapshot_fingerprint(gateway.snapshots)}")
-        return 130
+    code, report = _run_checkpointed(
+        args, lifecycle, gateway, gateway, args.duration,
+        lambda remaining, hook: gateway.run(
+            remaining, snapshot_every=args.snapshot_every, epoch_hook=hook
+        ),
+        verbs=("serve", "serving", "served"),
+    )
+    if code is not None:
+        return code
     final = report.final
     print(f"RCBR gateway (controller={config.controller}, "
           f"source={gateway.workload.name}, seed={config.seed}):")
@@ -747,11 +798,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
         print(f"server report written to {args.report}")
-    if lifecycle.stop_requested:
-        print(f"stopped early by {lifecycle.signal_name}; continue with "
-              f"--resume-from {checkpoint_path}")
-        return 128 + (lifecycle.signum or 2)
-    return 0
+    return _stop_exit_code(args, lifecycle)
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -760,7 +807,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     with hostile background cross-traffic (DESIGN.md §16)."""
     import json
 
-    from repro.faults.injectors import FaultPlan
     from repro.scenarios import get_scenario
 
     if args.scenario_cmd == "list":
@@ -780,16 +826,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(get_scenario(args.name).describe())
         return 0
 
-    faults = None
-    if args.fault_plan:
-        if args.fault_plan.lstrip().startswith("{"):
-            faults = FaultPlan.from_json(args.fault_plan, seed=args.fault_seed)
-        else:
-            faults = FaultPlan.from_file(args.fault_plan, seed=args.fault_seed)
-
     from repro.scenarios.runtime import ScenarioHarness
     from repro.server.checkpoint import ServeLifecycle
-    from repro.server.stats import snapshot_fingerprint
 
     spec = get_scenario(args.name)
     overrides = {}
@@ -804,56 +842,19 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if overrides:
         spec = spec.replace(**overrides)
 
-    harness = ScenarioHarness(spec, shards=args.shards, faults=faults)
+    harness = ScenarioHarness(
+        spec, shards=args.shards, faults=_fault_plan(args)
+    )
     lifecycle = ServeLifecycle()
-    checkpoint_path = args.checkpoint_path
-
-    def _scenario_hook(tick: int, gw) -> bool:
-        # Same boundary contract as `repro serve`: the hook runs before
-        # the epoch is stepped (and before this tick's background
-        # capacity update applies), so a checkpoint written here
-        # resumes bit-exactly.
-        if lifecycle.stop_requested:
-            meta = harness.save(checkpoint_path)
-            print(f"\n{lifecycle.signal_name}: stopping at epoch boundary "
-                  f"t={meta['time']:.1f} s; checkpoint "
-                  f"({meta['bytes']:,} bytes) -> {checkpoint_path}",
-                  flush=True)
-            return True
-        if (
-            args.checkpoint_every
-            and tick
-            and tick % args.checkpoint_every == 0
-        ):
-            harness.save(checkpoint_path, defer=True)
-        return False
-
-    try:
-        with harness, lifecycle:
-            if args.resume_from:
-                harness.restore(args.resume_from)
-                resumed_at = harness.gateway.engine.now
-                remaining = spec.duration - resumed_at
-                if remaining <= 0:
-                    print(f"checkpoint {args.resume_from} is already at "
-                          f"t={resumed_at:.1f} s; nothing left of "
-                          f"--duration {spec.duration:.1f} s to run")
-                    return 1
-                print(f"resumed from {args.resume_from} at "
-                      f"t={resumed_at:.1f} s; running {remaining:.1f} s "
-                      f"more (--duration is the absolute end time)")
-            else:
-                remaining = spec.duration
-            report = harness.run(
-                duration=remaining,
-                epoch_hook=_scenario_hook,
-            )
-    except KeyboardInterrupt:
-        gateway = harness.gateway
-        print(f"\ninterrupted: ran {gateway.engine.now:.1f} s, "
-              f"{len(gateway.snapshots)} snapshots, partial fingerprint "
-              f"{snapshot_fingerprint(gateway.snapshots)}")
-        return 130
+    code, report = _run_checkpointed(
+        args, lifecycle, harness, harness.gateway, spec.duration,
+        lambda remaining, hook: harness.run(
+            duration=remaining, epoch_hook=hook
+        ),
+        verbs=("run", "running", "ran"),
+    )
+    if code is not None:
+        return code
     result = harness.result(report)
     for line in result.summary_lines():
         print(line)
@@ -862,11 +863,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
         print(f"scenario report written to {args.report}")
-    if lifecycle.stop_requested:
-        print(f"stopped early by {lifecycle.signal_name}; continue with "
-              f"--resume-from {checkpoint_path}")
-        return 128 + (lifecycle.signum or 2)
-    return 0
+    return _stop_exit_code(args, lifecycle)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

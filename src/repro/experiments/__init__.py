@@ -12,7 +12,6 @@ traces, from scripts or the CLI (``python -m repro experiment ...``).
 """
 
 from repro.experiments.runners import (
-    make_sweep_engine,
     TradeoffPoint,
     TradeoffResult,
     run_tradeoff,
@@ -27,7 +26,6 @@ from repro.experiments.runners import (
 )
 
 __all__ = [
-    "make_sweep_engine",
     "TradeoffPoint",
     "TradeoffResult",
     "run_tradeoff",

@@ -3,70 +3,35 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.empirical import sigma_rho_for_loss, windowed_peak_rate
-from repro.core import OptimalScheduler, granular_rate_levels
+from repro.analysis.empirical import sigma_rho_for_loss
+from repro.core import OptimalScheduler
 from repro.core.schedule import RateSchedule
 from repro.perf.cache import ResultCache
 from repro.perf.engine import SweepEngine
 from repro.perf.recorder import BenchRecorder
-from repro.perf.supervise import SupervisedSweepEngine, SupervisorPolicy
-from repro.perf.sweeps import mbac_grid_cells, smg_cells, tradeoff_cells
+from repro.perf.sweeps import (
+    BUFFER_BITS,
+    GRANULARITY,
+    dp_rate_levels,
+    mbac_grid_cells,
+    smg_cells,
+    tradeoff_cells,
+)
 from repro.queueing.mux import scenario_a_rate
 from repro.traffic.trace import FrameTrace
 from repro.util.rng import SeedLike
 from repro.util.units import kbits, kbps
 
-DEFAULT_BUFFER = kbits(300)
-DEFAULT_GRANULARITY = kbps(64)
-
-
-def make_sweep_engine(
-    workers: int,
-    cache: Optional[ResultCache],
-    recorder: Optional[BenchRecorder],
-    namespace: str,
-    policy: Optional[SupervisorPolicy] = None,
-    journal: Union[None, str, Path] = None,
-    resume: bool = False,
-) -> SweepEngine:
-    """The engine for a runner: plain, or supervised when asked.
-
-    A runner with no supervision arguments keeps the exact PR 2 engine;
-    any of ``policy``/``journal``/``resume`` upgrades it to a
-    :class:`SupervisedSweepEngine`, whose happy path is bit-identical.
-    """
-    if policy is None and journal is None and not resume:
-        return SweepEngine(
-            workers=workers, cache=cache, recorder=recorder,
-            namespace=namespace,
-        )
-    return SupervisedSweepEngine(
-        workers=workers,
-        cache=cache,
-        recorder=recorder,
-        namespace=namespace,
-        policy=policy,
-        journal_path=journal,
-        resume=resume,
-    )
-
-
-def rate_levels_for(trace: FrameTrace, granularity: float) -> np.ndarray:
-    """The paper-style rate grid, widened to keep the DP feasible."""
-    top = max(kbps(2400), 1.1 * windowed_peak_rate(trace, 1.0))
-    return granular_rate_levels(granularity, top)
-
 
 def compute_optimal_schedule(
     trace: FrameTrace,
     alpha: float,
-    buffer_bits: float = DEFAULT_BUFFER,
-    granularity: float = DEFAULT_GRANULARITY,
+    buffer_bits: float = BUFFER_BITS,
+    granularity: float = GRANULARITY,
     frames_per_slot: int = 2,
 ) -> RateSchedule:
     """The trace's optimal RCBR schedule at the paper's parameters."""
@@ -75,7 +40,7 @@ def compute_optimal_schedule(
         if frames_per_slot > 1
         else trace.as_workload()
     )
-    levels = rate_levels_for(trace, granularity)
+    levels = dp_rate_levels(trace, granularity)
     result = OptimalScheduler(levels, alpha=alpha, beta=1.0).solve(
         workload, buffer_bits=buffer_bits
     )
@@ -105,15 +70,12 @@ def run_tradeoff(
     trace: FrameTrace,
     alphas: Sequence[float] = (2e5, 1e6, 6e6, 3e7),
     deltas: Sequence[float] = (kbps(25), kbps(50), kbps(100), kbps(400)),
-    buffer_bits: float = DEFAULT_BUFFER,
-    granularity: float = DEFAULT_GRANULARITY,
+    buffer_bits: float = BUFFER_BITS,
+    granularity: float = GRANULARITY,
     frames_per_slot: int = 2,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     recorder: Optional[BenchRecorder] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    journal: Union[None, str, Path] = None,
-    resume: bool = False,
 ) -> TradeoffResult:
     """Fig. 2: sweep the OPT cost ratio and the heuristic granularity.
 
@@ -121,16 +83,13 @@ def run_tradeoff(
     independent cell of a :class:`~repro.perf.engine.SweepEngine` sweep:
     ``workers`` fans them out, ``cache`` memoizes them on disk, and
     ``recorder`` collects per-cell timings.  The serial defaults
-    reproduce the historical results exactly; ``policy``/``journal``/
-    ``resume`` run the sweep supervised (retries, quarantine,
-    checkpoint/resume) without changing any surviving value.
+    reproduce the historical results exactly.
     """
     cells = tradeoff_cells(
         trace, alphas, deltas, buffer_bits, granularity, frames_per_slot
     )
-    engine = make_sweep_engine(
-        workers, cache, recorder, "tradeoff",
-        policy=policy, journal=journal, resume=resume,
+    engine = SweepEngine(
+        workers=workers, cache=cache, recorder=recorder, namespace="tradeoff"
     )
     values = [cell_result.value for cell_result in engine.run(cells)]
     result = TradeoffResult()
@@ -200,14 +159,11 @@ def run_smg(
     schedule: RateSchedule,
     source_counts: Sequence[int] = (1, 2, 4, 8, 16),
     loss_target: float = 1e-6,
-    buffer_bits: float = DEFAULT_BUFFER,
+    buffer_bits: float = BUFFER_BITS,
     seed: SeedLike = 0,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     recorder: Optional[BenchRecorder] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    journal: Union[None, str, Path] = None,
-    resume: bool = False,
 ) -> SmgResult:
     """Fig. 6: per-stream capacity under scenarios (a), (b), (c).
 
@@ -221,9 +177,8 @@ def run_smg(
     cells = smg_cells(
         trace, schedule, source_counts, buffer_bits, loss_target, seed=seed
     )
-    engine = make_sweep_engine(
-        workers, cache, recorder, "smg",
-        policy=policy, journal=journal, resume=resume,
+    engine = SweepEngine(
+        workers=workers, cache=cache, recorder=recorder, namespace="smg"
     )
     points = [
         SmgPoint(
@@ -275,9 +230,6 @@ def run_mbac_comparison(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     recorder: Optional[BenchRecorder] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    journal: Union[None, str, Path] = None,
-    resume: bool = False,
 ) -> MbacResult:
     """Figs. 7-8 and the memory fix: failure probability and utilization.
 
@@ -297,9 +249,8 @@ def run_mbac_comparison(
         min_intervals=min_intervals,
         max_intervals=max_intervals,
     )
-    engine = make_sweep_engine(
-        workers, cache, recorder, "mbac",
-        policy=policy, journal=journal, resume=resume,
+    engine = SweepEngine(
+        workers=workers, cache=cache, recorder=recorder, namespace="mbac"
     )
     points = [
         MbacPoint(

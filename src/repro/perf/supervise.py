@@ -1,10 +1,9 @@
-"""Supervised sweep runtime: timeouts, retries, quarantine, resume.
+"""Supervision policy and reports for the sweep engine.
 
-PR 2's :class:`~repro.perf.engine.SweepEngine` is fast but brittle: one
-hung cell, one OOM-killed worker, or one ``BrokenProcessPool`` loses the
-whole sweep, and an interrupted multi-hour run restarts from zero.  This
-module applies the paper's own philosophy — keep service alive by
-degrading rather than failing — to the experiment runtime itself:
+:class:`~repro.perf.engine.SweepEngine` applies the paper's own
+philosophy — keep service alive by degrading rather than failing — to
+the experiment runtime itself, as far as its :class:`SupervisorPolicy`
+asks:
 
 * **timeouts** — each cell gets a wall-clock budget; a hung worker is
   terminated and the cell retried (pool mode only: a single in-process
@@ -14,15 +13,18 @@ degrading rather than failing — to the experiment runtime itself:
   jittered backoff; the retry reuses the cell's exact
   ``SeedSequence(base_seed, spawn_key=(index,))``, so a retried cell's
   result is bit-identical to a first-try success;
-* **quarantine, not abort** — a cell that exhausts its attempts is
-  quarantined (reported with its error) while the rest of the sweep
-  completes;
+* **quarantine** — a cell that exhausts its attempts is quarantined
+  (reported with its error) while the rest of the sweep completes;
+  ``run()`` then re-raises its exception, ``run_supervised()`` reports
+  it;
 * **pool-death recovery** — ``BrokenProcessPool`` rebuilds the pool and
   resubmits the in-flight cells; after ``max_pool_rebuilds`` the engine
   degrades to serial in-process execution instead of thrashing;
 * **checkpoint/resume** — completed cells stream into an append-only
   :class:`~repro.perf.journal.SweepJournal`; ``resume=True`` skips any
   cell already journalled under a matching sweep fingerprint.
+
+The default policy — one attempt, no timeout — runs every cell once.
 
 Determinism contract: supervision changes *when and where* a cell runs,
 never *what it computes*.  Every surviving cell's value is bit-identical
@@ -31,26 +33,10 @@ to an unfaulted serial run (the chaos tests assert exactly this).
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
-
-from repro.perf.cache import ResultCache
-from repro.perf.engine import (
-    CellResult,
-    SweepCell,
-    SweepEngine,
-    _execute_cell,
-    abandon_pool,
-)
-from repro.perf.journal import JournalEntry, SweepJournal, sweep_fingerprint
-from repro.perf.recorder import BenchRecorder
 
 #: Cell statuses a report can carry.
 STATUS_OK = "ok"
@@ -66,16 +52,17 @@ class SupervisorPolicy:
     """Knobs of the supervision state machine.
 
     ``max_attempts`` counts the first try: 3 means one run plus two
-    retries.  ``timeout`` is per-cell wall clock, enforced by worker
-    termination and therefore only in pool mode.  Backoff before attempt
-    ``k`` (k >= 2) is ``base * factor**(k - 2)`` capped at ``max``, then
-    scaled by ``1 + jitter * U`` with ``U`` drawn from a generator
-    seeded by ``backoff_seed`` — deterministic under test, decorrelated
-    across retries in production.
+    retries, and the default 1 never retries.  ``timeout`` is per-cell
+    wall clock, enforced by worker termination and therefore only in
+    pool mode; the default ``None`` never times out.  Backoff before
+    attempt ``k`` (k >= 2) is ``base * factor**(k - 2)`` capped at
+    ``max``, then scaled by ``1 + jitter * U`` with ``U`` drawn from a
+    generator seeded by ``backoff_seed`` — deterministic under test,
+    decorrelated across retries in production.
     """
 
     timeout: Optional[float] = None
-    max_attempts: int = 3
+    max_attempts: int = 1
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     backoff_max: float = 10.0
@@ -115,6 +102,9 @@ class CellReport:
     pool_failures: int = 0
     seconds: float = 0.0
     error: Optional[str] = None
+    exception: Optional[BaseException] = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_dict(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
@@ -135,7 +125,7 @@ class CellReport:
 
 @dataclass
 class SweepReport:
-    """The structured outcome of one supervised sweep."""
+    """The structured outcome of one sweep."""
 
     cells: List[CellReport] = field(default_factory=list)
     pool_rebuilds: int = 0
@@ -166,413 +156,3 @@ class SweepReport:
             "journal": self.journal_path,
             "cells": [cell.to_dict() for cell in self.cells],
         }
-
-
-@dataclass
-class SupervisedRun:
-    """Results (input order, quarantined cells omitted) plus the report."""
-
-    results: List[CellResult]
-    report: SweepReport
-
-
-class CellQuarantinedError(RuntimeError):
-    """Internal marker: a cell exhausted its attempts."""
-
-
-class SupervisedSweepEngine(SweepEngine):
-    """A :class:`SweepEngine` that survives hangs, crashes, and kills.
-
-    Drop-in: ``run()`` returns the same ``List[CellResult]`` (minus any
-    quarantined cells); ``run_supervised()`` additionally returns the
-    :class:`SweepReport`.  With the default policy and no journal the
-    happy path is behaviourally identical to the plain engine.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        recorder: Optional[BenchRecorder] = None,
-        base_seed: int = 0,
-        namespace: str = "sweep",
-        policy: Optional[SupervisorPolicy] = None,
-        journal_path: Union[None, str, Path] = None,
-        resume: bool = False,
-    ) -> None:
-        super().__init__(
-            workers=workers,
-            cache=cache,
-            recorder=recorder,
-            base_seed=base_seed,
-            namespace=namespace,
-        )
-        self.policy = policy or SupervisorPolicy()
-        self.journal_path = Path(journal_path) if journal_path else None
-        self.resume = bool(resume)
-
-    # ------------------------------------------------------------------
-    def run(self, cells: Sequence[SweepCell]) -> List[CellResult]:
-        return self.run_supervised(cells).results
-
-    def run_supervised(self, cells: Sequence[SweepCell]) -> SupervisedRun:
-        cells = list(cells)
-        report = SweepReport(
-            cells=[
-                CellReport(index=index, name=cell.name)
-                for index, cell in enumerate(cells)
-            ],
-            journal_path=(
-                str(self.journal_path) if self.journal_path else None
-            ),
-        )
-        results: List[Optional[CellResult]] = [None] * len(cells)
-        keys: List[Optional[str]] = [None] * len(cells)
-        self._backoff_rng = np.random.default_rng(self.policy.backoff_seed)
-
-        journal = self._open_journal(cells, report, results)
-
-        pending: List[int] = []
-        for index, cell in enumerate(cells):
-            if results[index] is not None:
-                continue  # resumed from the journal
-            key = self._cache_key(cell, index)
-            keys[index] = key
-            if key is not None:
-                start = time.perf_counter()
-                hit, value = self.cache.get(key)
-                if hit:
-                    elapsed = time.perf_counter() - start
-                    self._complete(
-                        cells, results, keys, report, journal,
-                        index, value, elapsed, STATUS_CACHED, attempts=0,
-                    )
-                    continue
-            pending.append(index)
-
-        if pending:
-            if self.workers == 1 or len(pending) == 1:
-                self._run_serial(
-                    cells, results, keys, report, journal, pending
-                )
-            else:
-                self._run_pool_supervised(
-                    cells, results, keys, report, journal, pending
-                )
-
-        if self.recorder is not None:
-            self.recorder.attach_report(report.to_dict())
-        return SupervisedRun(
-            results=[r for r in results if r is not None], report=report
-        )
-
-    # ------------------------------------------------------------------
-    # Journal / resume
-    # ------------------------------------------------------------------
-    def _open_journal(self, cells, report, results) -> Optional[SweepJournal]:
-        if self.journal_path is None:
-            return None
-        fingerprint = sweep_fingerprint(
-            self.namespace, self.base_seed, cells
-        )
-        journal = SweepJournal(self.journal_path, fingerprint)
-        if self.resume and journal.exists():
-            entries = journal.load()
-            if entries is None:
-                # Stale or unreadable: recompute everything, loudly in
-                # the report, and start a fresh journal.
-                report.stale_journal = True
-                journal.reset()
-            else:
-                for index, entry in entries.items():
-                    if index >= len(cells) or cells[index].name != entry.name:
-                        continue  # the sweep shrank or was reordered
-                    results[index] = CellResult(
-                        entry.name, entry.value, entry.seconds, cached=False
-                    )
-                    cell_report = report.cells[index]
-                    cell_report.status = STATUS_RESUMED
-                    cell_report.attempts = entry.attempts
-                    cell_report.seconds = entry.seconds
-                    self._record_supervised(
-                        cells[index], entry.seconds, False, STATUS_RESUMED,
-                        entry.attempts,
-                    )
-        else:
-            journal.reset()
-        return journal
-
-    # ------------------------------------------------------------------
-    # Completion plumbing
-    # ------------------------------------------------------------------
-    def _record_supervised(
-        self, cell, seconds, cached, status, attempts
-    ) -> None:
-        if self.recorder is not None:
-            self.recorder.add(
-                cell.name,
-                seconds,
-                cached=cached,
-                workers=self.workers,
-                status=status,
-                attempts=attempts or None,
-                **cell.meta,
-            )
-
-    def _complete(
-        self, cells, results, keys, report, journal,
-        index, value, seconds, status, attempts,
-    ) -> None:
-        cell = cells[index]
-        if keys[index] is not None:
-            self.cache.put(keys[index], value)
-        results[index] = CellResult(
-            cell.name, value, seconds, cached=(status == STATUS_CACHED)
-        )
-        cell_report = report.cells[index]
-        cell_report.status = status
-        cell_report.attempts = attempts
-        cell_report.seconds = seconds
-        if journal is not None:
-            journal.append(
-                JournalEntry(
-                    index=index,
-                    name=cell.name,
-                    value=value,
-                    seconds=seconds,
-                    attempts=attempts,
-                    status=status,
-                )
-            )
-        self._record_supervised(
-            cell, seconds, status == STATUS_CACHED, status, attempts
-        )
-
-    def _quarantine(self, report, index, error: str) -> None:
-        cell_report = report.cells[index]
-        cell_report.status = STATUS_QUARANTINED
-        cell_report.error = error
-
-    def _success_status(self, cell_report: CellReport) -> str:
-        if cell_report.timeouts > 0:
-            return STATUS_TIMEOUT
-        if cell_report.attempts > 1:
-            return STATUS_RETRIED
-        return STATUS_OK
-
-    # ------------------------------------------------------------------
-    # Serial execution (also the degraded fallback)
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, cells, results, keys, report, journal, pending
-    ) -> None:
-        """In-process execution with retries; timeouts cannot preempt
-        here (a cell runs on the supervisor's own thread), which the
-        report makes visible via ``degraded_to_serial``/attempt counts.
-        """
-        for index in pending:
-            cell = cells[index]
-            cell_report = report.cells[index]
-            while True:
-                cell_report.attempts += 1
-                try:
-                    value, seconds = _execute_cell(
-                        cell.fn, self._cell_kwargs(cell, index)
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    if cell_report.attempts >= self.policy.max_attempts:
-                        self._quarantine(report, index, repr(exc))
-                        break
-                    time.sleep(
-                        self.policy.backoff_delay(
-                            cell_report.attempts + 1, self._backoff_rng
-                        )
-                    )
-                else:
-                    self._complete(
-                        cells, results, keys, report, journal,
-                        index, value, seconds,
-                        self._success_status(cell_report),
-                        cell_report.attempts,
-                    )
-                    break
-
-    # ------------------------------------------------------------------
-    # Supervised pool execution
-    # ------------------------------------------------------------------
-    def _run_pool_supervised(
-        self, cells, results, keys, report, journal, pending
-    ) -> None:
-        policy = self.policy
-        queue: deque = deque(pending)
-        not_before: Dict[int, float] = {index: 0.0 for index in pending}
-        waiting: Dict[Any, int] = {}  # future -> cell index
-        deadlines: Dict[Any, float] = {}  # future -> wall-clock deadline
-        pool: Optional[ProcessPoolExecutor] = None
-        max_workers = min(self.workers, len(pending))
-
-        def ensure_pool() -> ProcessPoolExecutor:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-            return pool
-
-        def cell_failed(index: int, error: str, timed_out: bool) -> None:
-            cell_report = report.cells[index]
-            cell_report.attempts += 1
-            if timed_out:
-                cell_report.timeouts += 1
-            if cell_report.attempts >= policy.max_attempts:
-                self._quarantine(report, index, error)
-                return
-            delay = policy.backoff_delay(
-                cell_report.attempts + 1, self._backoff_rng
-            )
-            not_before[index] = time.monotonic() + delay
-            queue.append(index)
-
-        def requeue_innocent(index: int) -> None:
-            # A cell whose worker died for someone else's fault (or whose
-            # pool was torn down around it): resubmit, no attempt charged.
-            not_before[index] = time.monotonic()
-            queue.append(index)
-
-        def rebuild_pool(victims: Set[Any], error: str, timed_out: bool):
-            nonlocal pool
-            report.pool_rebuilds += 1
-            for future, index in list(waiting.items()):
-                if future in victims:
-                    if not timed_out:
-                        report.cells[index].pool_failures += 1
-                    cell_failed(index, error, timed_out)
-                elif future.cancel():
-                    requeue_innocent(index)
-                else:
-                    # Was running (or already failed) in the dead pool:
-                    # its work is lost but it did nothing wrong.
-                    requeue_innocent(index)
-            waiting.clear()
-            deadlines.clear()
-            if pool is not None:
-                abandon_pool(pool)
-                pool = None
-            if report.pool_rebuilds > policy.max_pool_rebuilds:
-                report.degraded_to_serial = True
-
-        def submit_eligible() -> None:
-            now = time.monotonic()
-            scanned = 0
-            while queue and len(waiting) < max_workers and scanned < len(queue):
-                index = queue.popleft()
-                if not_before[index] > now:
-                    queue.append(index)
-                    scanned += 1
-                    continue
-                cell = cells[index]
-                try:
-                    future = ensure_pool().submit(
-                        _execute_cell, cell.fn, self._cell_kwargs(cell, index)
-                    )
-                except BrokenProcessPool as exc:
-                    # A worker died between waits; the cell we were about
-                    # to submit never ran, so it goes back unscathed while
-                    # the in-flight cells are charged by the rebuild.
-                    queue.appendleft(index)
-                    rebuild_pool(
-                        set(waiting), f"worker died: {exc!r}",
-                        timed_out=False,
-                    )
-                    return
-                waiting[future] = index
-                if policy.timeout is not None:
-                    deadlines[future] = now + policy.timeout
-
-        try:
-            while queue or waiting:
-                if report.degraded_to_serial:
-                    remaining = sorted(
-                        set(queue) | set(waiting.values())
-                    )
-                    queue.clear()
-                    waiting.clear()
-                    deadlines.clear()
-                    self._run_serial(
-                        cells, results, keys, report, journal, remaining
-                    )
-                    return
-                submit_eligible()
-                if not waiting:
-                    # Everything runnable is backing off; sleep to the
-                    # earliest eligibility instead of spinning.
-                    wake = min(not_before[index] for index in queue)
-                    time.sleep(
-                        max(0.0, min(wake - time.monotonic(),
-                                     policy.poll_interval))
-                    )
-                    continue
-                wait_timeout: Optional[float] = None
-                if deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic()
-                    )
-                elif queue:
-                    wait_timeout = policy.poll_interval
-                done, _ = wait(
-                    set(waiting), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                broken: Optional[BrokenProcessPool] = None
-                for future in done:
-                    index = waiting.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        value, seconds = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        # Credit the attempt in rebuild_pool below.
-                        waiting[future] = index
-                    except Exception as exc:
-                        cell_failed(index, repr(exc), timed_out=False)
-                    else:
-                        cell_report = report.cells[index]
-                        cell_report.attempts += 1
-                        self._complete(
-                            cells, results, keys, report, journal,
-                            index, value, seconds,
-                            self._success_status(cell_report),
-                            cell_report.attempts,
-                        )
-                if broken is not None:
-                    # Every in-flight future of a broken pool is suspect;
-                    # all are charged one attempt, so only a repeat
-                    # offender ever reaches quarantine.
-                    rebuild_pool(
-                        set(waiting), f"worker died: {broken!r}",
-                        timed_out=False,
-                    )
-                    continue
-                if policy.timeout is not None:
-                    now = time.monotonic()
-                    expired = {
-                        future
-                        for future, deadline in deadlines.items()
-                        if deadline <= now and not future.done()
-                    }
-                    if expired:
-                        names = ", ".join(
-                            cells[waiting[future]].name for future in expired
-                        )
-                        rebuild_pool(
-                            expired,
-                            f"timeout after {policy.timeout:g}s",
-                            timed_out=True,
-                        )
-        except BaseException:
-            if pool is not None:
-                abandon_pool(pool)
-            raise
-        else:
-            if pool is not None:
-                pool.shutdown(wait=True)

@@ -156,7 +156,7 @@ class EventScheduler:
     def state_dict(
         self,
         encode_callback: Callable[[Callable[..., Any]], Any],
-        encode_args: Optional[Callable[..., Any]] = None,
+        encode_args: Callable[..., Any],
     ) -> Dict[str, Any]:
         """Export the full scheduler state for a checkpoint.
 
@@ -171,8 +171,8 @@ class EventScheduler:
         dominate checkpoint latency.  Every per-event pass is C-driven
         (``map`` + ``attrgetter``); ``encode_callback`` runs once per
         distinct underlying function, not once per event.
-        ``encode_args(token_table, token_codes, args_list)`` may pack
-        the whole heap's argument tuples into arrays; the symmetric
+        ``encode_args(token_table, token_codes, args_list)`` packs the
+        whole heap's argument tuples into arrays; the symmetric
         ``decode_args`` unpacks.
 
         Reading the sequence counter consumes one value, so it is
@@ -218,18 +218,14 @@ class EventScheduler:
             "cancelled": cancelled,
             "token_table": token_table,
             "token_codes": token_codes,
-            "args": (
-                encode_args(token_table, token_codes, args_list)
-                if encode_args is not None
-                else args_list
-            ),
+            "args": encode_args(token_table, token_codes, args_list),
         }
 
     def load_state(
         self,
         state: Dict[str, Any],
         decode_callback: Callable[[Any], Callable[..., Any]],
-        decode_args: Optional[Callable[..., List[tuple]]] = None,
+        decode_args: Callable[..., List[tuple]],
     ) -> List[Event]:
         """Restore a :meth:`state_dict` export; returns the live events.
 
@@ -243,10 +239,7 @@ class EventScheduler:
         token_table = list(state["token_table"])
         callbacks = [decode_callback(token) for token in token_table]
         codes = state["token_codes"]
-        if decode_args is not None:
-            args_list = decode_args(token_table, codes, state["args"])
-        else:
-            args_list = state["args"]
+        args_list = decode_args(token_table, codes, state["args"])
         times = state["times"]
         sequences = state["sequences"]
         cancelled = state["cancelled"]

@@ -1022,8 +1022,6 @@ class RcbrGateway:
         return {"flat": flat, "generic": generic}
 
     def _decode_event_args(self, token_table, token_codes, packed):
-        if isinstance(packed, list):  # written without a packer
-            return [tuple(args) for args in packed]
         flat = packed["flat"].tolist()
         generic = packed["generic"]
         specs = [

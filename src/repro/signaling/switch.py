@@ -29,10 +29,6 @@ import numpy as np
 from repro.signaling.messages import CellKind, RmCell
 from repro.util.slots import grown
 
-#: Iteration cap for the batched denial fixpoint.  Each pass re-decides
-#: every increase against its exact prefix utilization; real epochs
-#: settle in two or three passes, and non-convergence just falls back
-#: to the per-cell path, so the cap only bounds pathological ping-pong.
 # Block length for the denial fixpoint in delta_batch_apply.  Each
 # round's cost is a cumsum over the block, and rounds scale with the
 # number of denials inside the block, so blocking bounds total work at

@@ -1,9 +1,11 @@
 """The command-line interface."""
 
 import json
+import signal
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core.schedule import RateSchedule
 from repro.traffic import FrameTrace, generate_starwars_trace
@@ -286,6 +288,58 @@ class TestServeCheckpoint:
         argv = [arg if arg != "5" else "6" for arg in self.BASE]
         with pytest.raises(StaleCheckpointError, match="config hash"):
             main(argv + ["--duration", "8", "--resume-from", str(ckpt)])
+
+
+class TestGracefulStop:
+    """A stop request at an epoch boundary: checkpoint, exit 128 + 15,
+    and a resume that lands on the uninterrupted fingerprint."""
+
+    STOP_TICK = 12
+
+    COMMANDS = {
+        "serve": ["serve", "--frames", "400", "--initial-calls", "6",
+                  "--seed", "5", "--snapshot-every", "1",
+                  "--duration", "8"],
+        "scenario": ["scenario", "run", "parking-lot",
+                     "--duration", "2", "--snapshot-every", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stop_checkpoints_and_resumes_bit_exactly(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        argv = self.COMMANDS[command]
+        assert main(argv) == 0
+        fingerprint = TestServeCheckpoint.fingerprint
+        expected = fingerprint(capsys.readouterr().out)
+
+        ckpt = tmp_path / f"{command}.ckpt"
+        with monkeypatch.context() as patch:
+            make_hook = cli._checkpoint_hook
+
+            def stopping_hook(args, lifecycle, target):
+                hook = make_hook(args, lifecycle, target)
+
+                def wrapped(tick, gateway):
+                    if tick == self.STOP_TICK:
+                        lifecycle.stop_requested = True
+                        lifecycle.signum = signal.SIGTERM
+                    return hook(tick, gateway)
+
+                return wrapped
+
+            patch.setattr(cli, "_checkpoint_hook", stopping_hook)
+            code = main(argv + ["--checkpoint-path", str(ckpt)])
+        assert code == 128 + signal.SIGTERM
+        out = capsys.readouterr().out
+        assert "SIGTERM: stopping at epoch boundary" in out
+        assert f"continue with --resume-from {ckpt}" in out
+        assert ckpt.exists()
+
+        assert main(argv + ["--resume-from", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "resumed from" in out
+        assert fingerprint(out) == expected
 
 
 class TestServeSource:

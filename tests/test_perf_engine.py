@@ -19,6 +19,7 @@ from repro.perf.cache import ResultCache
 from repro.perf.engine import CellResult, SweepCell, SweepEngine
 from repro.perf.recorder import BENCH_SCHEMA, BenchRecorder
 from repro.perf.sweeps import mbac_grid_cells
+from tests.golden_sweep import golden_sweep
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +257,8 @@ def tiny_schedule():
     )
 
 
-def _run_tiny_mbac(schedule, workers):
-    cells = mbac_grid_cells(
+def _tiny_mbac_cells(schedule):
+    return mbac_grid_cells(
         schedule,
         capacity_multiples=(4.0,),
         loads=(0.6, 1.0),
@@ -265,6 +266,10 @@ def _run_tiny_mbac(schedule, workers):
         min_intervals=2,
         max_intervals=2,
     )
+
+
+def _run_tiny_mbac(schedule, workers):
+    cells = _tiny_mbac_cells(schedule)
     return [r.value for r in SweepEngine(workers=workers).run(cells)]
 
 
@@ -274,6 +279,7 @@ def test_mbac_mini_sweep_parallel_matches_serial(tiny_schedule):
     assert len(serial) == 4
     # Bit-identical, not approximately equal: same seeds, same order.
     assert parallel == serial
+    assert serial == golden_sweep(_tiny_mbac_cells(tiny_schedule))
     for value in serial:
         assert 0.0 <= value["failure_probability"] <= 1.0
         assert 0.0 <= value["utilization"] <= 1.5

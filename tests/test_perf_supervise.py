@@ -1,4 +1,9 @@
-"""The supervised sweep runtime (repro.perf.supervise).
+"""The sweep engine under supervision (repro.perf.engine + supervise).
+
+Every value is compared against ``tests/golden_sweep.py``, the frozen
+serial loop.  ``run()`` returns every cell or raises the first failed
+cell's own exception; ``run_supervised()`` returns the survivors and
+the report.
 
 The acceptance chaos test lives here: with injected worker kills,
 hangs, and poison exceptions, a supervised parallel sweep completes,
@@ -11,22 +16,25 @@ completed cells and yields identical final output.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.faults.harness import WorkerFault, chaos_sweep_cells
+from repro.perf.cache import ResultCache
 from repro.perf.engine import SweepCell, SweepEngine
 from repro.perf.recorder import BenchRecorder
 from repro.perf.supervise import (
+    STATUS_CACHED,
     STATUS_OK,
     STATUS_QUARANTINED,
     STATUS_RESUMED,
     STATUS_RETRIED,
     STATUS_TIMEOUT,
-    SupervisedSweepEngine,
     SupervisorPolicy,
 )
+from tests.golden_sweep import golden_sweep
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +81,42 @@ def _logging_cells(count, log_path):
     ]
 
 
+def _golden(count):
+    """The frozen serial loop's values for ``_draw_cells(count)``."""
+    return golden_sweep(_draw_cells(count), base_seed=3)
+
+
+def _golden_by_name(count):
+    return {
+        f"draw/{index}": value for index, value in enumerate(_golden(count))
+    }
+
+
+class PoisonedCellError(RuntimeError):
+    """A cell's own exception, distinct from anything the engine raises."""
+
+
+def poisoned_cell(label):
+    raise PoisonedCellError(label)
+
+
+def _poisoned_cells(count, poisoned):
+    """``_draw_cells(count)`` with the cells at ``poisoned`` always raising."""
+    cells = _draw_cells(count)
+    for index in poisoned:
+        cells[index] = SweepCell(
+            name=f"poison/{index}",
+            fn=poisoned_cell,
+            kwargs={"label": f"cell {index}"},
+        )
+    return cells
+
+
+def _cacheable(cells):
+    """The same cells, keyed into the result cache by their kwargs."""
+    return [replace(cell, cache_payload=cell.kwargs) for cell in cells]
+
+
 def _fast_policy(**overrides):
     defaults = dict(
         max_attempts=3,
@@ -116,19 +160,14 @@ class TestSupervisorPolicy:
 
 class TestHappyPath:
     def test_matches_plain_engine_bit_for_bit(self):
-        plain = [
-            r.value for r in SweepEngine(base_seed=3).run(_draw_cells(4))
-        ]
-        run = SupervisedSweepEngine(base_seed=3).run_supervised(
-            _draw_cells(4)
-        )
-        assert [r.value for r in run.results] == plain
+        run = SweepEngine(base_seed=3).run_supervised(_draw_cells(4))
+        assert [r.value for r in run.results] == _golden(4)
         assert run.report.counts() == {STATUS_OK: 4}
         assert run.report.pool_rebuilds == 0
         assert not run.report.degraded_to_serial
 
     def test_empty_sweep(self, tmp_path):
-        run = SupervisedSweepEngine(
+        run = SweepEngine(
             workers=2, journal_path=tmp_path / "empty.jsonl"
         ).run_supervised([])
         assert run.results == []
@@ -140,12 +179,10 @@ class TestHappyPath:
             {1: WorkerFault("raise", times=1)},
             tmp_path / "markers",
         )
-        run = SupervisedSweepEngine(
+        run = SweepEngine(
             base_seed=3, policy=_fast_policy()
         ).run_supervised(cells)
-        reference = [
-            r.value for r in SweepEngine(base_seed=3).run(_draw_cells(3))
-        ]
+        reference = _golden(3)
         assert [r.value for r in run.results] == reference
         statuses = [c.status for c in run.report.cells]
         assert statuses == [STATUS_OK, STATUS_RETRIED, STATUS_OK]
@@ -157,7 +194,7 @@ class TestHappyPath:
             {1: WorkerFault("raise", times=-1)},
             tmp_path / "markers",
         )
-        run = SupervisedSweepEngine(
+        run = SweepEngine(
             base_seed=3, policy=_fast_policy(max_attempts=2)
         ).run_supervised(cells)
         assert [c.name for c in run.results] == ["draw/0", "draw/2"]
@@ -173,7 +210,7 @@ class TestHappyPath:
             {0: WorkerFault("raise", times=1)},
             tmp_path / "markers",
         )
-        SupervisedSweepEngine(
+        SweepEngine(
             base_seed=3, recorder=recorder, policy=_fast_policy()
         ).run_supervised(cells)
         payload = recorder.as_dict()
@@ -187,6 +224,63 @@ class TestHappyPath:
         assert statuses == {
             "draw/0": STATUS_RETRIED, "draw/1": STATUS_OK,
         }
+
+
+class TestGoldenOracle:
+    """Serial, parallel and cache-warm runs equal the frozen loop."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_and_warm_runs_equal_golden(self, tmp_path, workers):
+        cache = ResultCache(root=tmp_path, enabled=True)
+        cells = _cacheable(_draw_cells(6))
+        engine = SweepEngine(workers=workers, base_seed=3, cache=cache)
+        cold = engine.run(cells)
+        warm = engine.run(cells)
+        assert [r.value for r in cold] == _golden(6)
+        assert [r.value for r in warm] == _golden(6)
+        assert not any(r.cached for r in cold)
+        assert all(r.cached for r in warm)
+
+    def test_default_policy_is_one_attempt_no_timeout(self):
+        policy = SweepEngine().policy
+        assert policy == SupervisorPolicy()
+        assert policy.max_attempts == 1
+        assert policy.timeout is None
+
+
+class TestRunContract:
+    """``run()`` returns every cell or raises; never a short list."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "policy",
+        [None, SupervisorPolicy(max_attempts=1), _fast_policy(max_attempts=2)],
+        ids=["default", "one-attempt", "retrying"],
+    )
+    def test_poisoned_cell_raises_its_own_exception(self, workers, policy):
+        engine = SweepEngine(workers=workers, base_seed=3, policy=policy)
+        with pytest.raises(PoisonedCellError, match="^cell 1$"):
+            engine.run(_poisoned_cells(4, poisoned=(1,)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failed_cell_in_input_order_is_raised(self, workers):
+        engine = SweepEngine(workers=workers, base_seed=3)
+        with pytest.raises(PoisonedCellError, match="^cell 2$"):
+            engine.run(_poisoned_cells(6, poisoned=(5, 2, 4)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_survivors_reach_the_cache_before_the_raise(
+        self, tmp_path, workers
+    ):
+        cache = ResultCache(root=tmp_path, enabled=True)
+        cells = _cacheable(_poisoned_cells(4, poisoned=(0,)))
+        engine = SweepEngine(workers=workers, base_seed=3, cache=cache)
+        with pytest.raises(PoisonedCellError):
+            engine.run(cells)
+        run = engine.run_supervised(cells)
+        statuses = [c.status for c in run.report.cells]
+        assert statuses == [STATUS_QUARANTINED] + [STATUS_CACHED] * 3
+        assert [r.value for r in run.results] == _golden(4)[1:]
 
 
 class TestChaosAcceptance:
@@ -204,7 +298,7 @@ class TestChaosAcceptance:
                 },
                 tmp_path / "markers",
             )
-        engine = SupervisedSweepEngine(
+        engine = SweepEngine(
             workers=2,
             base_seed=3,
             policy=_fast_policy(timeout=3.0),
@@ -217,10 +311,7 @@ class TestChaosAcceptance:
         self, tmp_path
     ):
         run = self._chaos_run(tmp_path)
-        reference = {
-            r.name: r.value
-            for r in SweepEngine(base_seed=3).run(_draw_cells(8))
-        }
+        reference = _golden_by_name(8)
 
         # Only the permanently-poisoned cell is quarantined.
         assert [c.name for c in run.report.quarantined] == ["draw/5"]
@@ -247,10 +338,7 @@ class TestChaosAcceptance:
 
     def test_resume_after_fix_recomputes_only_quarantined(self, tmp_path):
         first = self._chaos_run(tmp_path)
-        reference = {
-            r.name: r.value
-            for r in SweepEngine(base_seed=3).run(_draw_cells(8))
-        }
+        reference = _golden_by_name(8)
         # The "fix": rerun the same sweep without the faults, resuming.
         second = self._chaos_run(tmp_path, resume=True, wrapped=False)
         assert len(second.report.resumed) == 7
@@ -273,12 +361,10 @@ class TestTimeouts:
             {2: WorkerFault("hang", times=1, hang_seconds=30.0)},
             tmp_path / "markers",
         )
-        run = SupervisedSweepEngine(
+        run = SweepEngine(
             workers=2, base_seed=3, policy=_fast_policy(timeout=1.0)
         ).run_supervised(cells)
-        reference = [
-            r.value for r in SweepEngine(base_seed=3).run(_draw_cells(3))
-        ]
+        reference = _golden(3)
         assert [r.value for r in run.results] == reference
         assert run.report.cells[2].status == STATUS_TIMEOUT
         assert run.report.cells[2].timeouts == 1
@@ -291,7 +377,7 @@ class TestUnpicklableExceptions:
             {1: WorkerFault("raise-unpicklable", times=-1)},
             tmp_path / "markers",
         )
-        run = SupervisedSweepEngine(
+        run = SweepEngine(
             workers=2, base_seed=3, policy=_fast_policy(max_attempts=2)
         ).run_supervised(cells)
         assert [c.name for c in run.results] == ["draw/0", "draw/2"]
@@ -306,7 +392,7 @@ class TestJournalResume:
         journal_path = tmp_path / "sweep.journal.jsonl"
         cells = _logging_cells(6, log_path)
 
-        full = SupervisedSweepEngine(
+        full = SweepEngine(
             workers=1, base_seed=3, journal_path=journal_path
         ).run_supervised(cells)
         reference = [r.value for r in full.results]
@@ -317,7 +403,7 @@ class TestJournalResume:
         journal_path.write_text("".join(lines[:5]), encoding="utf-8")
         log_path.write_text("", encoding="utf-8")
 
-        resumed = SupervisedSweepEngine(
+        resumed = SweepEngine(
             workers=1,
             base_seed=3,
             journal_path=journal_path,
@@ -335,14 +421,14 @@ class TestJournalResume:
         log_path = tmp_path / "compute.log"
         journal_path = tmp_path / "sweep.journal.jsonl"
 
-        SupervisedSweepEngine(
+        SweepEngine(
             workers=1, base_seed=3, journal_path=journal_path
         ).run_supervised(_logging_cells(3, log_path))
         log_path.write_text("", encoding="utf-8")
 
         # Same journal, different base seed: the fingerprint no longer
         # matches, so trusting the old values would be wrong.
-        resumed = SupervisedSweepEngine(
+        resumed = SweepEngine(
             workers=1,
             base_seed=4,
             journal_path=journal_path,
@@ -355,7 +441,7 @@ class TestJournalResume:
         assert [c.status for c in resumed.report.cells] == [STATUS_OK] * 3
 
     def test_report_to_dict_shape(self, tmp_path):
-        run = SupervisedSweepEngine(
+        run = SweepEngine(
             base_seed=3, journal_path=tmp_path / "j.jsonl"
         ).run_supervised(_draw_cells(2))
         payload = run.report.to_dict()
