@@ -826,21 +826,17 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(get_scenario(args.name).describe())
         return 0
 
+    from repro.scenarios.registry import resolve_scenario
     from repro.scenarios.runtime import ScenarioHarness
     from repro.server.checkpoint import ServeLifecycle
 
-    spec = get_scenario(args.name)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.snapshot_every is not None:
-        overrides["snapshot_every"] = args.snapshot_every
-    if args.route_k is not None:
-        overrides["route_k"] = args.route_k
-    if overrides:
-        spec = spec.replace(**overrides)
+    spec = resolve_scenario(
+        args.name,
+        seed=args.seed,
+        duration=args.duration,
+        snapshot_every=args.snapshot_every,
+        route_k=args.route_k,
+    )
 
     harness = ScenarioHarness(
         spec, shards=args.shards, faults=_fault_plan(args)

@@ -11,18 +11,17 @@ routes traverse that edge).
 :class:`LinkScopedOverloadAgent` closes that gap without touching the
 plane or the policies: it presents one edge of a multi-link host
 gateway through the exact gateway protocol the plane drives.  The
-host (see :class:`~repro.scenarios.runtime.ScenarioGateway`) supplies
-the topology-aware pieces:
+host (see :class:`~repro.scenarios.runtime.ScenarioGateway`) supplies:
 
-* ``link_members(key)`` — ``(group, slot)`` pairs of live calls whose
-  bound route traverses the edge, ascending (the dense mirror of the
-  classic gateway's ascending-slot shrink walk);
-* ``link_member_mask(key)`` — the same membership as a boolean column
-  over the concatenated group fleets;
-* ``shrink_member_call`` / ``evict_member_call`` /
-  ``readmit_member_call`` — the per-call actions, applied to *every*
-  link on the call's route (shrinking a call on one congested edge
-  frees its grant on all of them, exactly like a renegotiation).
+* ``link_member_mask(key)`` — the live calls whose bound route
+  traverses the edge, as a boolean column over the concatenated group
+  fleets;
+* the gateway's own per-call actions ``_shrink_call`` and
+  ``_evict_call``, which the classic gateway's overload actions use
+  too, addressed by event key and applied to *every* link on the
+  call's route (shrinking a call on one congested edge frees its grant
+  on all of them, exactly like a renegotiation), and
+  ``readmit_member_call``.
 
 Determinism: all per-link planes share one dedicated RNG stream drawn
 in link-spec order each epoch, and every member walk is in ascending
@@ -32,9 +31,11 @@ fingerprints.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
+
+from repro.util.slots import GROUP_STRIDE
 
 __all__ = ["LinkScopedOverloadAgent"]
 
@@ -72,13 +73,13 @@ class _MemberFleetView:
             [fleet.rate for fleet in self._host._fleets]
         )
 
-    def locate(self, view_slot: int) -> Tuple[int, int]:
-        """Map a concatenated-view index back to ``(group, slot)``."""
+    def locate(self, view_slot: int) -> int:
+        """Map a concatenated-view index back to the call's event key."""
         offset = 0
         for group, fleet in enumerate(self._host._fleets):
             size = int(fleet.active.size)
             if view_slot < offset + size:
-                return group, view_slot - offset
+                return group * GROUP_STRIDE + view_slot - offset
             offset += size
         raise IndexError(
             f"view slot {view_slot} beyond {offset} pooled slots"
@@ -105,18 +106,21 @@ class LinkScopedOverloadAgent:
     def overload_shrink_class(
         self, call_class: int, ratio: float, now: float
     ) -> int:
-        shrunk = 0
-        for group, slot in self.host.link_members(self.key):
-            fleet = self.host._fleets[group]
-            if int(fleet.call_class[slot]) != call_class:
-                continue
-            if self.host.shrink_member_call(group, slot, ratio, now):
-                shrunk += 1
-        return shrunk
+        # Ascending view order is ascending (group, slot) order.
+        fleet = self.fleet
+        members = np.flatnonzero(
+            fleet.active & (fleet.call_class == call_class)
+        )
+        return sum(
+            self.host._shrink_call(fleet.locate(member), ratio, now)
+            for member in members.tolist()
+        )
 
     def overload_evict(self, view_slot: int, now: float):
-        group, slot = self.fleet.locate(int(view_slot))
-        return self.host.evict_member_call(group, slot, now)
+        """The requeue entry carries the flow group, so readmission
+        re-routes within the right group."""
+        key = self.fleet.locate(int(view_slot))
+        return (*self.host._evict_call(key, now), key // GROUP_STRIDE)
 
     def overload_readmit(self, entry, now: float) -> int:
         return self.host.readmit_member_call(entry, now)

@@ -28,7 +28,7 @@ The roster covers the stress axes of ISSUE/ROADMAP item 3:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Union
 
 from repro.scenarios.spec import (
     BackgroundSpec,
@@ -199,3 +199,14 @@ def get_scenario(name: str, **overrides: Any) -> ScenarioSpec:
     if overrides:
         spec = spec.replace(**overrides)
     return spec
+
+
+def resolve_scenario(
+    scenario: Union[str, ScenarioSpec], **overrides: Any
+) -> ScenarioSpec:
+    """A scenario by name (or a spec as given) with every override that
+    is not None applied — the run-time overrides of ``run_scenario``
+    and ``repro scenario run``."""
+    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return spec.replace(**given) if given else spec

@@ -55,7 +55,6 @@ sequence is byte-identical to the pre-overload runtime.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -70,7 +69,7 @@ from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.policies import make_overload_policy
 from repro.queueing.link import RcbrLink
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.server.config import ServerConfig
 from repro.server.gateway import RcbrGateway, build_gateway
@@ -78,7 +77,6 @@ from repro.server.stats import ServerReport
 from repro.server.topology import (
     CallBinding,
     FleetStack,
-    GroupStats,
     LinkStack,
     PathStack,
 )
@@ -88,10 +86,7 @@ from repro.signaling.topology import SignalingNetwork, _edge_key
 from repro.traffic.sources import make_source
 from repro.traffic.trace import SlottedWorkload
 from repro.util.rng import spawn_generators
-from repro.util.slots import SlotInterner
-
-#: Pool-slot encoding for event callbacks: ``group * STRIDE + slot``.
-GROUP_STRIDE = 1 << 20
+from repro.util.slots import GROUP_STRIDE, SlotInterner
 
 #: The reserved port VCI background cross-traffic occupies.
 BACKGROUND_VCI = -1
@@ -105,6 +100,25 @@ _SCENARIO_STREAMS = 4
 
 def _route_edges(route: Tuple[str, ...]) -> List[Tuple[str, str]]:
     return list(zip(route[:-1], route[1:]))
+
+
+def _link_entry(link, port, background: float, plane) -> Dict[str, object]:
+    """One link's state as both runtime shapes report it: the live link,
+    its bottleneck port, the background rate applied to it, and its
+    overload plane's section when one runs."""
+    entry: Dict[str, object] = {
+        "capacity": float(link.capacity),
+        "allocated": float(link.allocated),
+        "lost_bits": float(link.lost_bits),
+        "failures": int(link.failure_count),
+        "port_denied": int(port.requests_denied),
+        "background": float(background),
+    }
+    # Only present when a plane exists, so block-policy snapshot
+    # streams keep their pre-overload shape (and fingerprints).
+    if plane is not None:
+        entry["overload"] = plane.section()
+    return entry
 
 
 def scenario_fingerprint(spec: ScenarioSpec) -> str:
@@ -229,8 +243,6 @@ class ScenarioGateway(RcbrGateway):
             self._bg_series[key] = rates
             self._bg_current[key] = 0.0
 
-        self.group_stats = [GroupStats() for _ in spec.flows]
-
         super().__init__(self._group_workloads[0], config, faults=faults)
 
         # The base class built a single plane over the whole-topology
@@ -312,11 +324,12 @@ class ScenarioGateway(RcbrGateway):
     def _build_fleet(
         self, workload: SlottedWorkload, config: ServerConfig
     ) -> FleetStack:
-        self._fleets = [
-            self._new_fleet(group_workload, config, 256)
-            for group_workload in self._group_workloads
-        ]
-        return FleetStack(self._fleets)  # type: ignore[return-value]
+        return FleetStack(  # type: ignore[return-value]
+            [
+                self._new_fleet(group_workload, config, 256)
+                for group_workload in self._group_workloads
+            ]
+        )
 
     def _build_link(self, config: ServerConfig) -> LinkStack:
         self._edge_links = {
@@ -481,45 +494,25 @@ class ScenarioGateway(RcbrGateway):
         )
         return call_id
 
-    def _handle_departure(self, gslot: int, call_id: int) -> None:
-        group, slot = divmod(gslot, GROUP_STRIDE)
-        fleet = self._fleets[group]
-        if fleet.call_id[slot] != call_id:
-            return  # stale event: the call already left this pool slot
-        now = self.engine.now
-        binding = self._bindings.pop(gslot)
-        self.offered.on_departure(int(fleet.call_class[slot]))
-        net = self._net_slots.release(call_id)
-        for link in binding.links:
-            link.release(net, now)
-        binding.path.release(net)
-        self.controller.on_departure(call_id, now)
-        fleet.remove(slot)
-        self._departure_events.pop(call_id, None)
-        self.departed += 1
-        self.group_stats[group].departed += 1
+    def _route(self, key: int, call_id: int):
+        """A routed call reserves under its network slot on its route."""
+        binding = self._bindings[key]
+        return (
+            self._net_slots.slot_of[call_id],
+            binding.links,
+            binding.path,
+            binding.path.ports,
+        )
 
-    def _abandon(self, gslot: int, call_id: int) -> None:
-        self.group_stats[gslot // GROUP_STRIDE].abandoned += 1
-        super()._abandon(gslot, call_id)
+    def _unbind(self, key: int, call_id: int) -> None:
+        del self._bindings[key]
+        self._net_slots.release(call_id)
 
     # ------------------------------------------------------------------
     # Per-link overload protocol (driven by LinkScopedOverloadAgent)
     # ------------------------------------------------------------------
-    def link_members(self, key: Tuple[str, str]) -> List[Tuple[int, int]]:
-        """Live calls routed over ``key``, ascending ``(group, slot)``
-        — the multi-link mirror of the classic ascending-slot walk."""
-        return [
-            divmod(gslot, GROUP_STRIDE)
-            for gslot in sorted(
-                gslot
-                for gslot, binding in self._bindings.items()
-                if key in binding.edge_keys
-            )
-        ]
-
     def link_member_mask(self, key: Tuple[str, str]) -> np.ndarray:
-        """The same membership as a boolean column over the
+        """Live calls routed over ``key``, as a boolean column over the
         concatenated group fleets (fixed group order)."""
         sizes = [int(fleet.active.size) for fleet in self._fleets]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -529,65 +522,6 @@ class ScenarioGateway(RcbrGateway):
                 group, slot = divmod(gslot, GROUP_STRIDE)
                 mask[int(offsets[group]) + slot] = True
         return mask
-
-    def shrink_member_call(
-        self, group: int, slot: int, ratio: float, now: float
-    ) -> bool:
-        """Shrink one call's granted rate by ``ratio`` on *every* link
-        of its route (a decrease always succeeds), moving the ports and
-        the admission controller with it."""
-        fleet = self._fleets[group]
-        old_rate = float(fleet.rate[slot])
-        new_rate = fleet.quantize(old_rate * ratio)
-        if new_rate >= old_rate:
-            return False
-        gslot = group * GROUP_STRIDE + slot
-        binding = self._bindings[gslot]
-        call_id = int(fleet.call_id[slot])
-        net = self._net_slots.slot_of[call_id]
-        granted = new_rate
-        for link in binding.links:
-            outcome = link.request(net, new_rate, now)
-            granted = min(granted, outcome.granted_rate)
-        for key in binding.edge_keys:
-            self._edge_ports[key].reprovision(net, granted - old_rate)
-        self.controller.on_reservation(call_id, granted, now)
-        fleet.set_rate(slot, granted)
-        return True
-
-    def evict_member_call(
-        self, group: int, slot: int, now: float
-    ) -> Tuple[int, int, float, int]:
-        """Tear one call out of service on a link plane's orders.
-
-        The classic ``overload_evict`` plus the flow group appended to
-        the queue entry, so readmission re-routes within the right
-        group.  Accounted as a departure plus an abandonment, same as
-        the classic gateway."""
-        fleet = self._fleets[group]
-        gslot = group * GROUP_STRIDE + slot
-        call_id = int(fleet.call_id[slot])
-        call_class = int(fleet.call_class[slot])
-        shift = int(fleet.shift[slot])
-        event = self._departure_events.pop(call_id, None)
-        remaining = self.mean_holding
-        if event is not None:
-            event.cancel()
-            remaining = max(0.0, event.time - now)
-        binding = self._bindings.pop(gslot)
-        self.offered.on_departure(call_class)
-        net = self._net_slots.release(call_id)
-        for link in binding.links:
-            link.release(net, now)
-        binding.path.release(net)
-        self.controller.on_departure(call_id, now)
-        fleet.remove(slot)
-        self.departed += 1
-        self.abandoned += 1
-        stats = self.group_stats[group]
-        stats.departed += 1
-        stats.abandoned += 1
-        return call_class, shift, remaining, group
 
     def readmit_member_call(
         self, entry: Tuple[int, int, float, int], now: float
@@ -626,93 +560,6 @@ class ScenarioGateway(RcbrGateway):
         for key in self._bindings[group * GROUP_STRIDE + slot].edge_keys:
             self._edge_ports[key].provision(net, granted)
         return call_id_installed
-
-    # ------------------------------------------------------------------
-    # Renegotiation round trips
-    # ------------------------------------------------------------------
-    def _issue(
-        self, gslot: int, call_id: int, new_rate: float, time: float
-    ) -> None:
-        group, slot = divmod(gslot, GROUP_STRIDE)
-        fleet = self._fleets[group]
-        binding = self._bindings[gslot]
-        old_rate = float(fleet.rate[slot])
-        increase = new_rate > old_rate
-        fleet.pending[slot] = True
-        self.reneg_requests += 1
-        self.group_stats[group].reneg_requests += 1
-        if (
-            increase
-            and self.faults is not None
-            and self.faults.should_deny(time)
-        ):
-            self.injected_denials += 1
-            granted = False
-        else:
-            granted = binding.path.renegotiate(
-                RenegotiationRequest(
-                    vci=self._net_slots.slot_of[call_id],
-                    old_rate=old_rate,
-                    new_rate=new_rate,
-                    time=time,
-                )
-            )
-        apply = granted or not increase
-        self.engine.schedule_at(
-            time + binding.path.round_trip_time,
-            self._complete,
-            gslot,
-            call_id,
-            new_rate,
-            granted,
-            apply,
-        )
-
-    def _complete(
-        self,
-        gslot: int,
-        call_id: int,
-        new_rate: float,
-        granted: bool,
-        apply: bool,
-    ) -> None:
-        group, slot = divmod(gslot, GROUP_STRIDE)
-        fleet = self._fleets[group]
-        if fleet.call_id[slot] != call_id:
-            return  # the call departed while its cell was in flight
-        fleet.pending[slot] = False
-        now = self.engine.now
-        stats = self.group_stats[group]
-        if apply:
-            binding = self._bindings[gslot]
-            net = self._net_slots.slot_of[call_id]
-            granted_rate = new_rate
-            failed = False
-            for link in binding.links:
-                outcome = link.request(net, new_rate, now)
-                granted_rate = min(granted_rate, outcome.granted_rate)
-                failed = failed or outcome.failed
-            if failed:
-                self.link_shortfalls += 1
-                # Equalize over-granting links down to the route
-                # bottleneck so per-link utilization stays honest; the
-                # binding link keeps the unmet demand (-> lost_bits).
-                for link in binding.links:
-                    if link.grant_of(net) > granted_rate + 1e-12:
-                        link.request(net, granted_rate, now)
-            fleet.set_rate(slot, granted_rate)
-            self.controller.on_reservation(call_id, granted_rate, now)
-            fleet.streak[slot] = 0
-            return
-        self.reneg_denied += 1
-        stats.reneg_denied += 1
-        streak = int(fleet.streak[slot]) + 1
-        fleet.streak[slot] = streak
-        if (
-            self.config.abandon_after is not None
-            and streak >= self.config.abandon_after
-        ):
-            self._abandon(gslot, call_id)
 
     # ------------------------------------------------------------------
     # The epoch step
@@ -760,15 +607,48 @@ class ScenarioGateway(RcbrGateway):
         return combined  # type: ignore[return-value]
 
     def _issue_group_epoch(self, group: int, step, end_of_slot: float) -> None:
+        """Issue one flow group's renegotiations in ascending slot order,
+        one round trip per call over its own route (routes differ in
+        RTT); each answer lands through :meth:`_complete`."""
         fleet = self._fleets[group]
-        call_ids = fleet.call_id[step.slots]
+        stats = self.group_stats[group]
         base = group * GROUP_STRIDE
-        for slot, call_id, candidate in zip(
+        for slot, call_id, new_rate in zip(
             step.slots.tolist(),
-            call_ids.tolist(),
+            fleet.call_id[step.slots].tolist(),
             step.candidates.tolist(),
         ):
-            self._issue(base + slot, call_id, candidate, end_of_slot)
+            key = base + slot
+            vci, _, path, _ = self._route(key, call_id)
+            old_rate = float(fleet.rate[slot])
+            increase = new_rate > old_rate
+            fleet.pending[slot] = True
+            self.reneg_requests += 1
+            stats.reneg_requests += 1
+            if (
+                increase
+                and self.faults is not None
+                and self.faults.should_deny(end_of_slot)
+            ):
+                self.injected_denials += 1
+                granted = False
+            else:
+                granted = path.renegotiate(
+                    RenegotiationRequest(
+                        vci=vci,
+                        old_rate=old_rate,
+                        new_rate=new_rate,
+                        time=end_of_slot,
+                    )
+                )
+            self.engine.schedule_at(
+                end_of_slot + path.round_trip_time,
+                self._complete,
+                key,
+                call_id,
+                new_rate,
+                granted or not increase,
+            )
 
     def _apply_background(self, tick: int, now: float) -> None:
         for key in self._bg_keys:
@@ -790,23 +670,12 @@ class ScenarioGateway(RcbrGateway):
         planes = dict(self._link_planes)
         links: Dict[str, Dict[str, object]] = {}
         for link_spec, key in zip(self.spec.links, self._edge_keys):
-            link = self._edge_links[key]
-            port = self._edge_ports[key]
-            entry: Dict[str, object] = {
-                "capacity": float(link.capacity),
-                "allocated": float(link.allocated),
-                "lost_bits": float(link.lost_bits),
-                "failures": int(link.failure_count),
-                "port_denied": int(port.requests_denied),
-                "background": float(self._bg_current.get(key, 0.0)),
-            }
-            # Only present when per-link planes exist, so block-policy
-            # snapshot streams keep their pre-overload shape (and
-            # fingerprints).
-            plane = planes.get(key)
-            if plane is not None:
-                entry["overload"] = plane.section()
-            links[f"{link_spec.u}~{link_spec.v}"] = entry
+            links[f"{link_spec.u}~{link_spec.v}"] = _link_entry(
+                self._edge_links[key],
+                self._edge_ports[key],
+                self._bg_current.get(key, 0.0),
+                planes.get(key),
+            )
         groups: Dict[str, Dict[str, object]] = {}
         for flow, fleet, stats in zip(
             self.spec.flows, self._fleets, self.group_stats
@@ -828,9 +697,9 @@ class ScenarioGateway(RcbrGateway):
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """The base export (the stacks serialize per group/edge/route)
-        plus the scenario-only state: call-route bindings, group
-        counters, applied background rates, the two live scenario
-        streams, and the per-link overload planes.
+        plus the scenario-only state: call-route bindings, applied
+        background rates, the two live scenario streams, and the
+        per-link overload planes.
 
         The workload stream (6) and background stream (7) are consumed
         only during ``__init__`` — a restoring gateway re-draws them
@@ -844,9 +713,6 @@ class ScenarioGateway(RcbrGateway):
                 for gslot, binding in self._bindings.items()
             ],
             "net_slots": self._net_slots.state_dict(),
-            "group_stats": [
-                dataclasses.asdict(stats) for stats in self.group_stats
-            ],
             "bg_current": [
                 self._bg_current[key] for key in self._bg_keys
             ],
@@ -883,10 +749,6 @@ class ScenarioGateway(RcbrGateway):
                 edge_keys=edge_keys,
             )
         self._net_slots.load_state(scenario["net_slots"])  # type: ignore[index]
-        self.group_stats = [
-            GroupStats(**stats)
-            for stats in scenario["group_stats"]  # type: ignore[index]
-        ]
         for key, value in zip(
             self._bg_keys, scenario["bg_current"]  # type: ignore[index]
         ):
@@ -917,9 +779,9 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     report: ServerReport
-    #: Per-flow-group and per-link final state (uniform across both
-    #: runtime shapes; derived from the classic counters when the
-    #: scenario ran single-bottleneck).
+    #: Per-flow-group and per-link final state, with the same keys in
+    #: both runtime shapes (a single-bottleneck scenario's group entry
+    #: is its classic counters).
     groups: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     links: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
@@ -1009,24 +871,25 @@ class BackgroundDriver:
         )
         self._capacity = link.capacity
         self._port = gateway.ports[-1]
-        self._rate = 0.0
+        #: The background rate applied to the link right now.
+        self.rate = 0.0
 
     def __call__(self, tick: int, gw: RcbrGateway) -> None:
         rate = float(self._series[tick % self._series.size])
-        previous = self._rate
+        previous = self.rate
         if rate != previous:
-            self._rate = rate
+            self.rate = rate
             self._port.reprovision(BACKGROUND_VCI, rate - previous)
             gw.link.set_capacity(self._capacity - rate, gw.engine.now)
 
     def sync_to(self, next_tick: int) -> None:
         """Align the applied-rate latch with a restored gateway."""
         if next_tick > 0:
-            self._rate = float(
+            self.rate = float(
                 self._series[(next_tick - 1) % self._series.size]
             )
         else:
-            self._rate = 0.0
+            self.rate = 0.0
 
 
 class ScenarioHarness:
@@ -1197,18 +1060,14 @@ class ScenarioHarness:
                 "reneg_denied": final.reneg_denied,
             }
         }
+        gateway = self.gateway
         links = {
-            f"{link.u}~{link.v}": {
-                "capacity": link.capacity,
-                "lost_bits": final.bits_lost_link,
-                "failures": final.reneg_denied,
-                "port_denied": final.reneg_denied,
-                "background": (
-                    spec.background[0].mean_fraction * link.capacity
-                    if spec.background
-                    else 0.0
-                ),
-            }
+            f"{link.u}~{link.v}": _link_entry(
+                gateway.link,
+                gateway.ports[-1],
+                self._background.rate if self._background else 0.0,
+                gateway.overload_plane,
+            )
         }
         return ScenarioResult(
             spec=spec, report=report, groups=groups, links=links
@@ -1240,20 +1099,13 @@ def run_scenario(
     each flow group's fleet.  Same spec and seed => byte-identical fingerprint
     for shards ∈ {0, 1, N}.
     """
-    spec = (
-        get_scenario(scenario) if isinstance(scenario, str) else scenario
+    spec = resolve_scenario(
+        scenario,
+        seed=seed,
+        duration=duration,
+        snapshot_every=snapshot_every,
+        route_k=route_k,
     )
-    overrides: Dict[str, Any] = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if duration is not None:
-        overrides["duration"] = duration
-    if snapshot_every is not None:
-        overrides["snapshot_every"] = snapshot_every
-    if route_k is not None:
-        overrides["route_k"] = route_k
-    if overrides:
-        spec = spec.replace(**overrides)
     harness = ScenarioHarness(spec, shards=shards, faults=faults)
     with harness:
         report = harness.run()

@@ -234,16 +234,6 @@ class ScenarioSpec:
         return len(self.links) == 1 and len(self.flows) == 1
 
     @property
-    def shard_compatible(self) -> bool:
-        """Whether ``shards >= 1`` reproduces the ``shards = 0``
-        fingerprint.  Always true on the unified serving core: the
-        dense sharded link carries time-varying background capacity,
-        and multi-bottleneck gateways shard each flow group's fleet.
-        Kept as a property so capability displays and older callers
-        keep working."""
-        return True
-
-    @property
     def total_capacity(self) -> float:
         return sum(link.capacity for link in self.links)
 
@@ -338,8 +328,7 @@ class ScenarioSpec:
             overload += " (per-link planes)"
         lines.append(
             "  capability    "
-            f"shards={'yes' if self.shard_compatible else 'no'}, "
-            "checkpoint=yes, "
+            "shards=yes, checkpoint=yes, "
             f"overload={overload}, "
             f"mbac={'yes' if self.controller != 'always' else 'no'}"
         )

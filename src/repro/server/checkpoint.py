@@ -65,7 +65,9 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: Bump when the state layout changes; mismatched checkpoints are stale.
 #: Schema 2: the link and port keep per-source state in slot tables.
 #: Schema 3: ``MemoryMBAC`` pickles its columnar histories.
-CHECKPOINT_SCHEMA = 3
+#: Schema 4: one completion event per classic epoch, event keys on a
+#: 2**32 group stride, and per-group counters in the base export.
+CHECKPOINT_SCHEMA = 4
 
 
 class CheckpointError(RuntimeError):

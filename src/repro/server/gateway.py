@@ -28,12 +28,21 @@ so with zero hop delay an answer lands before the next step and the
 fleet reproduces the scalar :class:`~repro.core.online.OnlineScheduler`
 exactly (rates take effect the following slot, as in the paper).
 
-Step 3 issues the epoch as one batch — one path commit, one completion
-event — with the scalar per-call round trip kept as the exact fallback
-for fault plans, multi-hop rollback and imminent abandonment.  Calls
+Step 3 issues the epoch as one batch that lands through one completion
+event; a fault plan only makes the issue walk the calls one by one, so
+its injected denials interleave with each call's path walk.  Calls
 reserve at the link, ports and path under their pool slot, so the link
 and ports are flat columns.  ``config.shards`` chooses only where step
 2 runs: inline (0) or on a worker pool (:mod:`repro.server.sharded`).
+
+The per-call control plane — completion, teardown, abandonment,
+eviction and shrink — is written once, over a call's *route*
+(:meth:`RcbrGateway._route`): the links, signaling path and switch ports
+it reserved on, and the handle it reserved under.  Heap events address a
+call by the key ``group * GROUP_STRIDE + slot``; the classic service is
+flow group 0 with the one-link route, and the scenario runtime
+(:mod:`repro.scenarios.runtime`) supplies one route per call over a
+topology.
 
 Dual bandwidth authority, by design: call setup/teardown provision the
 switch ports directly (admission is the CAC's decision, not the ER fast
@@ -78,6 +87,7 @@ same fault plan seed) ⇒ bit-identical snapshot stream, enforced via
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from bisect import bisect_right
@@ -101,12 +111,14 @@ from repro.server.stats import (
     ServerSnapshot,
     snapshot_fingerprint,
 )
+from repro.server.topology import GroupStats
 from repro.signaling.messages import RenegotiationRequest
 from repro.signaling.network import SignalingPath
 from repro.signaling.switch import SwitchPort
 from repro.traffic.sources import TrafficSource, make_source
 from repro.traffic.trace import SlottedWorkload
 from repro.util.rng import spawn_generators
+from repro.util.slots import GROUP_STRIDE
 from repro.util.stats import jain_fairness
 
 #: Tolerance when comparing epoch boundaries against snapshot deadlines.
@@ -132,7 +144,7 @@ class RcbrGateway:
     #: original types below.
     EVENT_ARG_CODECS: Dict[str, tuple] = {
         "_handle_departure": (int, int),
-        "_complete": (int, int, float, bool, bool),
+        "_complete": (int, int, float, bool),
     }
 
     def __init__(
@@ -179,6 +191,10 @@ class RcbrGateway:
 
         self.engine = EventScheduler()
         self.fleet = self._build_fleet(workload, config)
+        #: The per-group fleets event keys index: a fleet stack's
+        #: groups, or the classic gateway's one fleet.
+        self._fleets = getattr(self.fleet, "fleets", [self.fleet])
+        self.group_stats = [GroupStats() for _ in self._fleets]
         self.link = self._build_link(config)
         self.ports = self._build_ports(config)
 
@@ -435,148 +451,201 @@ class RcbrGateway:
         gap = float(self._arrival_rng.exponential(1.0 / self.arrival_rate))
         self.engine.schedule_in(gap, self._handle_arrival)
 
-    def _handle_departure(self, slot: int, call_id: int) -> None:
-        if self.fleet.call_id[slot] != call_id:
+    def _handle_departure(self, key: int, call_id: int) -> None:
+        group, slot = divmod(key, GROUP_STRIDE)
+        if self._fleets[group].call_id[slot] != call_id:
             return  # stale event: the call already left this pool slot
-        now = self.engine.now
-        self.offered.on_departure(int(self.fleet.call_class[slot]))
-        self.link.release(slot, now)
-        self.path.release(slot)
-        self.controller.on_departure(call_id, now)
-        self.fleet.remove(slot)
         self._departure_events.pop(call_id, None)
-        self.departed += 1
+        self._teardown(key, call_id, self.engine.now)
 
-    def _abandon(self, slot: int, call_id: int) -> None:
-        """The user gives up after too many consecutive denials."""
-        event = self._departure_events.get(call_id)
+    def _route(self, key: int, call_id: int):
+        """What the call at event key ``key`` reserved on, as ``(vci,
+        links, path, ports)``: the handle it reserved under, then the
+        links, signaling path and switch ports of its route.  A classic
+        call reserves under its pool slot on the one link and path."""
+        return key, (self.link,), self.path, self.ports
+
+    def _unbind(self, key: int, call_id: int) -> None:
+        """Forget a leaving call's route (the classic route is fixed)."""
+
+    def _teardown(self, key: int, call_id: int, now: float) -> None:
+        """Free every hop of a live call's route and take it out of
+        service: the end of a departure, abandonment or eviction."""
+        group, slot = divmod(key, GROUP_STRIDE)
+        fleet = self._fleets[group]
+        vci, links, path, _ = self._route(key, call_id)
+        self._unbind(key, call_id)
+        self.offered.on_departure(int(fleet.call_class[slot]))
+        for link in links:
+            link.release(vci, now)
+        path.release(vci)
+        self.controller.on_departure(call_id, now)
+        fleet.remove(slot)
+        self.departed += 1
+        self.group_stats[group].departed += 1
+
+    def _evict_call(self, key: int, now: float) -> "tuple[int, int, float]":
+        """End a live call before its holding time: the user abandons
+        after too many consecutive denials, or an overload plane evicts.
+
+        Returns ``(call_class, shift, remaining_holding)`` so the
+        sacrifice policy can requeue it.  Accounted as a departure plus
+        an abandonment — the call was forcibly ended — with the
+        sacrifice-specific truth kept in the snapshot's overload
+        section.  A renegotiation in flight for the call is neutralised
+        by the stale-completion guard (the slot's call id changes).
+        """
+        group, slot = divmod(key, GROUP_STRIDE)
+        fleet = self._fleets[group]
+        call_id = int(fleet.call_id[slot])
+        event = self._departure_events.pop(call_id, None)
+        remaining = self.mean_holding
         if event is not None:
             event.cancel()
+            remaining = max(0.0, event.time - now)
+        entry = (int(fleet.call_class[slot]), int(fleet.shift[slot]), remaining)
         self.abandoned += 1
-        self._handle_departure(slot, call_id)
+        self.group_stats[group].abandoned += 1
+        self._teardown(key, call_id, now)
+        return entry
+
+    def _shrink_call(self, key: int, ratio: float, now: float) -> bool:
+        """Shrink one call's granted rate by ``ratio`` (re-quantised to
+        the grid) on every link of its route, moving the ports and the
+        admission controller with it.  A decrease always succeeds.
+        Returns whether the rate moved."""
+        group, slot = divmod(key, GROUP_STRIDE)
+        fleet = self._fleets[group]
+        old_rate = float(fleet.rate[slot])
+        new_rate = fleet.quantize(old_rate * ratio)
+        if new_rate >= old_rate:
+            return False
+        call_id = int(fleet.call_id[slot])
+        vci, links, _, ports = self._route(key, call_id)
+        granted = new_rate
+        for link in links:
+            granted = min(granted, link.request(vci, new_rate, now).granted_rate)
+        for port in ports:
+            port.reprovision(vci, granted - old_rate)
+        self.controller.on_reservation(call_id, granted, now)
+        fleet.set_rate(slot, granted)
+        return True
 
     # ------------------------------------------------------------------
     # Renegotiation round trips
     # ------------------------------------------------------------------
-    def _issue(
-        self, slot: int, call_id: int, new_rate: float, time: float
-    ) -> None:
-        old_rate = float(self.fleet.rate[slot])
-        increase = new_rate > old_rate
-        self.fleet.pending[slot] = True
-        self.reneg_requests += 1
-        if (
-            increase
-            and self.faults is not None
-            and self.faults.should_deny(time)
-        ):
-            self.injected_denials += 1
-            granted = False
-        else:
-            granted = self.path.renegotiate(
-                RenegotiationRequest(
-                    vci=slot,
-                    old_rate=old_rate,
-                    new_rate=new_rate,
-                    time=time,
-                )
-            )
-        # A lost decrease still applies at the source (it believes the new
-        # rate), leaving the network over-reserving until resync — drift.
-        apply = granted or not increase
-        self.engine.schedule_at(
-            time + self.path.round_trip_time,
-            self._complete,
-            slot,
-            call_id,
-            new_rate,
-            granted,
-            apply,
-        )
-
     def _issue_epoch(self, step: EpochStep, end_of_slot: float) -> None:
         """Issue every renegotiation one epoch step produced.
 
         ``step.slots`` is in ascending pool-slot order — the documented
-        issue order of the determinism contract.  One batched path
-        commit and one batched completion event replace a scalar round
-        trip per call; :meth:`SignalingPath.renegotiate_batch` keeps
-        denials vectorized on a single hop and replays the exact scalar
-        walk for multi-hop rollback.  A fault plan draws its injected
-        denials per increase in per-call order, which only the scalar
-        :meth:`_issue` reproduces, so faulted runs take that path.
+        issue order of the determinism contract.  The answers land
+        together through one :meth:`_complete_batch` event.  Unfaulted,
+        :meth:`SignalingPath.renegotiate_batch` commits the epoch in one
+        call (vectorized denials on a single hop, the exact scalar walk
+        for multi-hop rollback).  A fault plan draws its injected denial
+        per increase, interleaved with each call's own path walk, so a
+        faulted epoch walks the calls one by one.
         """
+        fleet = self.fleet
         slots = step.slots
-        call_ids = self.fleet.call_id[slots]
-        if self.faults is not None:
-            for slot, call_id, candidate in zip(
-                slots.tolist(), call_ids.tolist(), step.candidates.tolist()
-            ):
-                self._issue(slot, call_id, candidate, end_of_slot)
-            return
+        call_ids = fleet.call_id[slots]
         new_rates = step.candidates
-        old_rates = self.fleet.rate[slots]
-        self.fleet.pending[slots] = True
-        self.reneg_requests += int(slots.size)
-        granted = self.path.renegotiate_batch(
-            slots, old_rates, new_rates, end_of_slot
-        )
-        apply = granted | ~(new_rates > old_rates)
+        old_rates = fleet.rate[slots]
+        count = int(slots.size)
+        fleet.pending[slots] = True
+        self.reneg_requests += count
+        self.group_stats[0].reneg_requests += count
+        increases = new_rates > old_rates
+        if self.faults is None:
+            granted = self.path.renegotiate_batch(
+                slots, old_rates, new_rates, end_of_slot
+            )
+        else:
+            granted = np.zeros(count, dtype=bool)
+            for index, (slot, old_rate, new_rate) in enumerate(
+                zip(slots.tolist(), old_rates.tolist(), new_rates.tolist())
+            ):
+                if new_rate > old_rate and self.faults.should_deny(
+                    end_of_slot
+                ):
+                    self.injected_denials += 1
+                    continue
+                granted[index] = self.path.renegotiate(
+                    RenegotiationRequest(
+                        vci=slot,
+                        old_rate=old_rate,
+                        new_rate=new_rate,
+                        time=end_of_slot,
+                    )
+                )
+        # A lost decrease still applies at the source (it believes the new
+        # rate), leaving the network over-reserving until resync — drift.
+        apply = granted | ~increases
         self.engine.schedule_at(
             end_of_slot + self.path.round_trip_time,
             self._complete_batch,
             slots,
             call_ids,
             new_rates,
-            granted,
             apply,
         )
 
     def _complete(
-        self,
-        slot: int,
-        call_id: int,
-        new_rate: float,
-        granted: bool,
-        apply: bool,
+        self, key: int, call_id: int, new_rate: float, apply: bool
     ) -> None:
-        if self.fleet.call_id[slot] != call_id:
+        """Land one renegotiation answer on every link of the call's
+        route.  With one link, the route's grant is that link's grant."""
+        group, slot = divmod(key, GROUP_STRIDE)
+        fleet = self._fleets[group]
+        if fleet.call_id[slot] != call_id:
             return  # the call departed while its cell was in flight
-        self.fleet.pending[slot] = False
+        fleet.pending[slot] = False
         now = self.engine.now
         if apply:
-            outcome = self.link.request(slot, new_rate, now)
-            if outcome.failed:
+            vci, links, _, _ = self._route(key, call_id)
+            granted = new_rate
+            failed = False
+            for link in links:
+                outcome = link.request(vci, new_rate, now)
+                granted = min(granted, outcome.granted_rate)
+                failed = failed or outcome.failed
+            if failed:
                 self.link_shortfalls += 1
-            self.fleet.set_rate(slot, outcome.granted_rate)
-            self.controller.on_reservation(call_id, outcome.granted_rate, now)
-            self.fleet.streak[slot] = 0
+                # Equalize over-granting links down to the route
+                # bottleneck so per-link utilization stays honest; the
+                # binding link keeps the unmet demand (-> lost_bits).
+                for link in links:
+                    if link.grant_of(vci) > granted + 1e-12:
+                        link.request(vci, granted, now)
+            fleet.set_rate(slot, granted)
+            self.controller.on_reservation(call_id, granted, now)
+            fleet.streak[slot] = 0
             return
         self.reneg_denied += 1
-        streak = int(self.fleet.streak[slot]) + 1
-        self.fleet.streak[slot] = streak
+        self.group_stats[group].reneg_denied += 1
+        streak = int(fleet.streak[slot]) + 1
+        fleet.streak[slot] = streak
         if (
             self.config.abandon_after is not None
             and streak >= self.config.abandon_after
         ):
-            self._abandon(slot, call_id)
+            self._evict_call(key, now)
 
     def _complete_batch(
         self,
         slots: np.ndarray,
         call_ids: np.ndarray,
         new_rates: np.ndarray,
-        granted: np.ndarray,
         apply: np.ndarray,
     ) -> None:
-        """Land one epoch's renegotiation answers (see :meth:`_complete`)."""
+        """Land one classic epoch's renegotiation answers, exactly as
+        :meth:`_complete` per call in ascending slot order would."""
         fleet = self.fleet
         all_applied = bool(np.all(apply))
         if not all_applied and self.config.abandon_after is not None:
             # An abandonment mid-batch mutates the free list (and can
             # release link and port state) between completions; only
-            # the scalar replay, in ascending slot order — the order
-            # the per-call events would fire in — is exact there.
+            # the scalar replay, in ascending slot order, is exact there.
             # Slots are unique, so each gets at most one streak bump
             # this batch and the pre-check sees the decisive value.
             denied_mask = ~apply
@@ -589,7 +658,6 @@ class RcbrGateway:
                         int(slots[index]),
                         int(call_ids[index]),
                         float(new_rates[index]),
-                        bool(granted[index]),
                         bool(apply[index]),
                     )
                 return
@@ -610,6 +678,7 @@ class RcbrGateway:
             denied_slots = slots[~apply]
             if denied_slots.size:
                 self.reneg_denied += int(denied_slots.size)
+                self.group_stats[0].reneg_denied += int(denied_slots.size)
                 fleet.streak[denied_slots] += 1
             slots = slots[apply]
             call_ids = call_ids[apply]
@@ -645,58 +714,20 @@ class RcbrGateway:
     def overload_shrink_class(
         self, call_class: int, ratio: float, now: float
     ) -> int:
-        """Shrink every active call of ``call_class``'s granted rate by
-        ``ratio`` (re-quantised to the grid), freeing link bandwidth
-        immediately.  Decreases always succeed at the link; the ports
-        and the admission controller move with it.  Walks pool slots in
-        ascending order (determinism).  Returns calls actually shrunk.
-        """
+        """Shrink every active call of ``call_class`` by ``ratio`` (see
+        :meth:`_shrink_call`), freeing link bandwidth immediately.  Walks
+        pool slots in ascending order (determinism).  Returns calls
+        actually shrunk."""
         fleet = self.fleet
         slots = np.flatnonzero(fleet.active & (fleet.call_class == call_class))
-        shrunk = 0
-        for slot in slots.tolist():
-            old_rate = float(fleet.rate[slot])
-            new_rate = fleet.quantize(old_rate * ratio)
-            if new_rate >= old_rate:
-                continue
-            call_id = int(fleet.call_id[slot])
-            outcome = self.link.request(slot, new_rate, now)
-            granted = outcome.granted_rate
-            for port in self.ports:
-                port.reprovision(slot, granted - old_rate)
-            self.controller.on_reservation(call_id, granted, now)
-            fleet.set_rate(slot, granted)
-            shrunk += 1
-        return shrunk
+        return sum(
+            self._shrink_call(slot, ratio, now) for slot in slots.tolist()
+        )
 
     def overload_evict(self, slot: int, now: float) -> "tuple[int, int, float]":
-        """Tear one call out of service on the plane's orders.
-
-        Returns ``(call_class, shift, remaining_holding)`` so the
-        sacrifice policy can requeue it.  Accounted as a departure plus
-        an abandonment — the service forcibly ended the call — with the
-        sacrifice-specific truth kept in the snapshot's overload
-        section.  A renegotiation in flight for the evicted call is
-        neutralised by the stale-completion guard (the slot's call id
-        changes).
-        """
-        fleet = self.fleet
-        call_id = int(fleet.call_id[slot])
-        call_class = int(fleet.call_class[slot])
-        shift = int(fleet.shift[slot])
-        event = self._departure_events.pop(call_id, None)
-        remaining = self.mean_holding
-        if event is not None:
-            event.cancel()
-            remaining = max(0.0, event.time - now)
-        self.offered.on_departure(call_class)
-        self.link.release(slot, now)
-        self.path.release(slot)
-        self.controller.on_departure(call_id, now)
-        fleet.remove(slot)
-        self.departed += 1
-        self.abandoned += 1
-        return call_class, shift, remaining
+        """Tear one call out of service on the plane's orders (see
+        :meth:`_evict_call`)."""
+        return self._evict_call(slot, now)
 
     def overload_readmit(
         self, entry: "tuple[int, int, float]", now: float
@@ -1055,7 +1086,8 @@ class RcbrGateway:
         kernel/fleet columns, link allocations and compensated sums,
         per-hop port state, the event heap (callbacks encoded by method
         name), all live RNG streams, overload-plane hysteresis, fault
-        injectors, counters, and the accumulated snapshot stream.  The
+        injectors, counters (totals and per flow group), and the
+        accumulated snapshot stream.  The
         workload-sampling stream is *not* captured: it is consumed only
         during ``__init__``, and a restoring gateway reconstructs from
         the identical config, re-drawing it identically.
@@ -1103,6 +1135,9 @@ class RcbrGateway:
                 "injected_denials": self.injected_denials,
                 "link_shortfalls": self.link_shortfalls,
             },
+            "group_stats": [
+                dataclasses.asdict(stats) for stats in self.group_stats
+            ],
             "snapshots": list(self.snapshots),
             "last_snapshot_time": self._last_snapshot_time,
             "last_allocated_bit_seconds": self._last_allocated_bit_seconds,
@@ -1182,6 +1217,10 @@ class RcbrGateway:
         self.reneg_denied = int(counters["reneg_denied"])  # type: ignore[index]
         self.injected_denials = int(counters["injected_denials"])  # type: ignore[index]
         self.link_shortfalls = int(counters["link_shortfalls"])  # type: ignore[index]
+        self.group_stats = [
+            GroupStats(**stats)
+            for stats in state["group_stats"]  # type: ignore[union-attr]
+        ]
         self.snapshots = list(state["snapshots"])  # type: ignore[arg-type]
         self._last_snapshot_time = float(state["last_snapshot_time"])  # type: ignore[arg-type]
         self._last_allocated_bit_seconds = float(

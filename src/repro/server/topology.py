@@ -38,7 +38,13 @@ __all__ = [
 
 @dataclass
 class GroupStats:
-    """Cumulative per-flow-group lifecycle counters."""
+    """Cumulative per-flow-group lifecycle counters.
+
+    The gateway keeps one per fleet.  The call lifecycle (departures,
+    abandonments, renegotiations) counts into it on every gateway; the
+    classic gateway's setup counts only its totals, so there its
+    ``arrivals``, ``blocked`` and ``admitted`` stay zero.
+    """
 
     arrivals: int = 0
     blocked: int = 0

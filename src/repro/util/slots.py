@@ -17,6 +17,12 @@ from typing import Dict, Hashable, List
 
 import numpy as np
 
+#: A gateway's event heap addresses a call by the key
+#: ``group * GROUP_STRIDE + slot`` (flow group, pool slot).  The stride is
+#: above any pool size (a 1M-call fleet grows to 2**21 slots), and every
+#: key stays exact as a float64 in the checkpoint's heap codec.
+GROUP_STRIDE = 1 << 32
+
 
 def grown(column: np.ndarray, size: int) -> np.ndarray:
     """``column`` doubled (zero-filled) until it holds ``size`` entries;

@@ -138,6 +138,19 @@ class TestCheckpointResume:
         ref, resumed = resume_drill(spec, shards=1)
         assert resumed == ref
 
+    def test_group_stats_survive_round_trip(self, tmp_path):
+        path = tmp_path / "pl.ckpt"
+        spec = get_scenario("parking-lot", **SMOKE)
+        with ScenarioHarness(spec) as first:
+            first.run(duration=1.0)
+            first.save(path)
+            saved = list(first.gateway.group_stats)
+        assert len(saved) == len(spec.flows)
+        assert sum(stats.reneg_requests for stats in saved) > 0
+        with ScenarioHarness(spec) as second:
+            second.restore(path)
+            assert second.gateway.group_stats == saved
+
     def test_checkpoint_refuses_a_different_scenario(self, tmp_path):
         # The dumbbell twins derive identical configs and workloads
         # (only the background burst structure differs) — the scenario
@@ -224,7 +237,6 @@ class TestSpecCapabilities:
             overload_policy="downgrade", controller="memory"
         )
         assert upgraded.overload_policy == "downgrade"
-        assert upgraded.shard_compatible
         with pytest.raises(ValueError, match="duration"):
             # Bogus values still fail eagerly through replace().
             upgraded.replace(duration=-1.0)

@@ -12,6 +12,7 @@ from repro.scenarios import (
     BackgroundSpec,
     FlowGroupSpec,
     LinkSpec,
+    ScenarioHarness,
     ScenarioSpec,
     get_scenario,
     run_scenario,
@@ -36,7 +37,6 @@ class TestSpecValidation:
         spec = ScenarioSpec(**spec_kwargs())
         assert spec.nodes == ("a", "b")
         assert spec.single_bottleneck
-        assert spec.shard_compatible
 
     def test_link_endpoints_must_differ(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -94,7 +94,7 @@ class TestSpecValidation:
         spec = ScenarioSpec(
             **spec_kwargs(background=(BackgroundSpec("a", "b"),))
         )
-        assert spec.single_bottleneck and spec.shard_compatible
+        assert spec.single_bottleneck
 
     def test_multi_bottleneck_accepts_full_control_plane(self):
         multi = spec_kwargs(
@@ -193,8 +193,6 @@ class TestDeterminism:
     def test_shard_parity_where_compatible(self):
         # mixed-classes is the roster's shard-compatible scenario: one
         # link, no background, full overload plane.
-        spec = get_scenario("mixed-classes")
-        assert spec.shard_compatible
         plain = run_scenario("mixed-classes", shards=0, **SMOKE)
         sharded = run_scenario("mixed-classes", shards=1, **SMOKE)
         assert plain.fingerprint == sharded.fingerprint
@@ -345,6 +343,44 @@ class TestBackgroundHostility:
             satellite.report.final.bits_lost_link
             > terrestrial.report.final.bits_lost_link
         )
+
+
+class TestSingleBottleneckLinkEntry:
+    """A single-bottleneck result reports its link from the live link,
+    the bottleneck port and the applied background, under the keys of
+    the multi-bottleneck entry."""
+
+    def test_link_entry_reads_live_state(self):
+        spec = get_scenario("dumbbell-lrd", duration=30.0)
+        faults = FaultPlan.from_json('{"denial": {"rate": 0.3}}', seed=1)
+        harness = ScenarioHarness(spec, faults=faults)
+        with harness:
+            report = harness.run()
+        entry = harness.result(report).links["a~b"]
+        link = harness.gateway.link
+        port = harness.gateway.ports[-1]
+        assert set(entry) == set(
+            run_scenario("parking-lot", **SMOKE).links["n0~n1"]
+        )
+        assert entry["capacity"] == link.capacity
+        assert entry["allocated"] == link.allocated
+        assert entry["lost_bits"] == link.lost_bits
+        assert entry["failures"] == link.failure_count
+        assert entry["port_denied"] == port.requests_denied
+        # Link failures, port denials and renegotiation denials differ.
+        assert entry["failures"] != report.final.reneg_denied
+        assert entry["port_denied"] != report.final.reneg_denied
+        # The background actually applied, not the configured mean.
+        applied = spec.links[0].capacity - link.capacity
+        assert entry["background"] == pytest.approx(applied)
+        assert entry["background"] != pytest.approx(
+            spec.background[0].mean_fraction * spec.links[0].capacity
+        )
+
+    def test_link_entry_carries_the_plane_section(self):
+        result = run_scenario("mixed-classes", **SMOKE)
+        (entry,) = result.links.values()
+        assert entry["overload"]["policy"] == "downgrade"
 
 
 class TestScenarioCli:

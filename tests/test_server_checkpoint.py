@@ -87,8 +87,18 @@ CHAOS_CASES = {
     ),
     "memory-controller": dict(controller="memory"),
     "faulted": dict(num_hops=3, abandon_after=4),
+    "faulted-sacrifice": dict(
+        load=1.5,
+        initial_calls=60,
+        mean_holding=3.0,
+        abandon_after=2,
+        overload_policy="sacrifice",
+        overload_enter=0.7,
+        overload_exit=0.5,
+        overload_dwell=2,
+    ),
 }
-FAULTED_CASES = {"faulted"}
+FAULTED_CASES = {"faulted", "faulted-sacrifice"}
 
 
 def build_case(workload, name):
@@ -155,6 +165,26 @@ class TestBitExactResume:
             report = resumed.run(remaining, snapshot_every=1.0)
 
         assert report.fingerprint == expected
+
+    @pytest.mark.parametrize("name", sorted(FAULTED_CASES))
+    def test_group_stats_survive_round_trip(self, workload, tmp_path, name):
+        """The one classic flow group's counters are checkpointed with
+        the base export, and the lifecycle half of them tracks the
+        gateway totals (classic setup counts only the totals)."""
+        path = tmp_path / "gw.ckpt"
+        with build_case(workload, name) as first:
+            first.run(3.0, snapshot_every=1.0)
+            first.save(path)
+            saved = list(first.group_stats)
+            (stats,) = saved
+            assert stats.departed == first.departed
+            assert stats.abandoned == first.abandoned
+            assert stats.reneg_requests == first.reneg_requests > 0
+            assert stats.reneg_denied == first.reneg_denied
+
+        with build_case(workload, name) as resumed:
+            resumed.restore(path)
+            assert resumed.group_stats == saved
 
     def test_sharded_restore_respawns_pool_lazily(self, workload, tmp_path):
         path = tmp_path / "gw.ckpt"
@@ -329,6 +359,12 @@ class TestStaleness:
     def test_schema_two_payload_is_refused(self, workload, tmp_path):
         # Schema 2 pickled MemoryMBAC's per-call history dicts.
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 2)
+
+    def test_schema_three_payload_is_refused(self, workload, tmp_path):
+        # Schema 3 carried one completion event per renegotiation,
+        # event keys on a 2**20 stride, and no base group counters.
+        assert CHECKPOINT_SCHEMA == 4
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 3)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

@@ -4,8 +4,9 @@ The contract under test (DESIGN.md §14): same seed => byte-identical
 snapshot fingerprint for any shard count, including the inline
 ``shards=0`` fleet, under every configuration — hot links with steady
 denials, buffer overflow, overload planes, fleet growth, fault plans,
-worker crashes, and the degrade-to-inline path.  The scalar
-per-renegotiation path stays tested as the oracle of the batched one.
+worker crashes, and the degrade-to-inline path.  The frozen per-call
+round trip (``tests/golden_gateway.py``) is the oracle of the batched
+one.
 """
 
 import os
@@ -22,6 +23,7 @@ from repro.server.sharded import _num_chunks
 from repro.signaling.messages import CellKind, RmCell
 from repro.signaling.switch import SwitchPort
 from repro.traffic.starwars import generate_starwars_trace
+from tests.golden_gateway import GoldenScalarGateway
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +151,9 @@ class TestFingerprintIdentity:
 
 
 class TestScalarOracle:
-    """An empty fault plan injects nothing but routes every
-    renegotiation through the scalar ``_issue``/``_complete`` round
-    trip — the oracle the batched epoch path must reproduce."""
+    """An empty fault plan injects nothing but walks every
+    renegotiation through the per-call issue loop of a faulted epoch —
+    it must commit exactly what the batched path commits."""
 
     @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
     def test_batched_path_matches_scalar_oracle(self, workload, name):
@@ -160,6 +162,84 @@ class TestScalarOracle:
         scalar = run_report(workload, 0, faults=FaultPlan({}), **overrides)
         assert scalar.final.injected_denials == 0
         assert batched.fingerprint == scalar.fingerprint
+
+
+#: Faulted configs for the golden oracle: abandonment and sacrifice
+#: evictions on a hot link, on one hop and with multi-hop rollback.
+FAULTED_GOLDEN_CASES = {
+    "abandonment": dict(
+        capacity=None, load=0.0, initial_calls=60, abandon_after=2
+    ),
+    "sacrifice": dict(
+        capacity=None,
+        load=1.2,
+        initial_calls=20,
+        mean_holding=3.0,
+        overload_policy="sacrifice",
+        overload_enter=0.9,
+        overload_exit=0.8,
+        overload_dwell=2,
+    ),
+    "sacrifice-abandonment-multihop": dict(
+        capacity=None,
+        load=1.2,
+        initial_calls=20,
+        mean_holding=3.0,
+        abandon_after=2,
+        num_hops=3,
+        upstream_headroom=1.05,
+        overload_policy="sacrifice",
+        overload_enter=0.9,
+        overload_exit=0.8,
+        overload_dwell=2,
+    ),
+    "downgrade": IDENTITY_CASES["overload-downgrade"],
+}
+
+
+def golden_pair(workload, overrides, faults):
+    """The same config served by the gateway and by the frozen oracle;
+    returns ``(report, counters)`` for each."""
+    runs = []
+    for cls in (None, GoldenScalarGateway):
+        cfg = config(workload, 0, **overrides)
+        plan = faults() if faults is not None else None
+        if cls is None:
+            gateway = build_gateway(workload, cfg, faults=plan)
+        else:
+            gateway = cls(workload, cfg, faults=plan)
+        with gateway:
+            report = gateway.run(5.0, snapshot_every=1.0)
+            runs.append((report, gateway.state_dict()["counters"]))
+    return runs
+
+
+class TestGoldenOracle:
+    """The batched epoch and the route-generic lifecycle reproduce the
+    frozen per-call round trip: fingerprint and every counter."""
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+    def test_matches_golden(self, workload, name):
+        (report, counters), (golden, golden_counters) = golden_pair(
+            workload, case_overrides(workload, name), None
+        )
+        assert report.fingerprint == golden.fingerprint
+        assert counters == golden_counters
+
+    @pytest.mark.parametrize("name", sorted(FAULTED_GOLDEN_CASES))
+    def test_faulted_matches_golden(self, workload, name):
+        overrides = dict(FAULTED_GOLDEN_CASES[name])
+        overrides["capacity"] = overrides["initial_calls"] * workload.mean_rate
+        (report, counters), (golden, golden_counters) = golden_pair(
+            workload, overrides, fault_plan
+        )
+        assert golden.final.injected_denials > 0
+        assert report.fingerprint == golden.fingerprint
+        assert counters == golden_counters
+        if overrides.get("abandon_after") is not None:
+            assert golden.final.abandoned > 0
+        if overrides.get("overload_policy") == "sacrifice":
+            assert golden.overload["readmitted"] > 0
 
 
 class TestLinkShortfalls:
