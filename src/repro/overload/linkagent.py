@@ -16,12 +16,12 @@ host (see :class:`~repro.scenarios.runtime.ScenarioGateway`) supplies:
 * ``link_member_mask(key)`` — the live calls whose bound route
   traverses the edge, as a boolean column over the concatenated group
   fleets;
-* the gateway's own per-call actions ``_shrink_call`` and
-  ``_evict_call``, which the classic gateway's overload actions use
-  too, addressed by event key and applied to *every* link on the
-  call's route (shrinking a call on one congested edge frees its grant
-  on all of them, exactly like a renegotiation), and
-  ``readmit_member_call``.
+* the gateway's own per-call actions ``_shrink_call``, ``_evict_call``
+  and ``_readmit``, which the classic gateway's overload actions use
+  too.  The first two are addressed by event key and applied to
+  *every* link on the call's route (shrinking a call on one congested
+  edge frees its grant on all of them, exactly like a renegotiation);
+  readmission binds a fresh route in the call's flow group.
 
 Determinism: all per-link planes share one dedicated RNG stream drawn
 in link-spec order each epoch, and every member walk is in ascending
@@ -123,4 +123,7 @@ class LinkScopedOverloadAgent:
         return (*self.host._evict_call(key, now), key // GROUP_STRIDE)
 
     def overload_readmit(self, entry, now: float) -> int:
-        return self.host.readmit_member_call(entry, now)
+        call_class, shift, remaining, group = entry
+        return self.host._readmit(
+            int(group), int(call_class), int(shift), float(remaining), now
+        )

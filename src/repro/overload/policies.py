@@ -34,6 +34,7 @@ __all__ = [
     "DowngradePolicy",
     "SacrificePolicy",
     "make_overload_policy",
+    "policy_for_config",
 ]
 
 #: Policy names accepted by :func:`make_overload_policy` and the CLI.
@@ -41,8 +42,8 @@ OVERLOAD_POLICY_NAMES = ("block", "downgrade", "sacrifice")
 
 #: A sacrificed call waiting for readmission: (call_class, workload
 #: shift, remaining holding time in seconds).  Gateways may append
-#: extra routing context (the scenario gateway adds the flow group);
-#: the policy carries the tuple opaquely back to ``overload_readmit``.
+#: extra routing context (a per-link agent adds the flow group); the
+#: policy carries the tuple opaquely back to ``overload_readmit``.
 QueuedCall = Tuple[int, int, float]
 
 
@@ -359,3 +360,19 @@ def make_overload_policy(name: str, **kwargs) -> OverloadPolicy:
         f"unknown overload policy {name!r}; "
         f"expected one of {OVERLOAD_POLICY_NAMES}"
     )
+
+
+def policy_for_config(config) -> Optional[OverloadPolicy]:
+    """The policy a :class:`~repro.server.config.ServerConfig` asks a
+    plane to drive, or None for ``block``: no plane at all, so the
+    baseline takes the exact pre-overload code path."""
+    if config.overload_policy == "downgrade":
+        return DowngradePolicy(
+            ladder=config.downgrade_ladder, dwell=config.overload_dwell
+        )
+    if config.overload_policy == "sacrifice":
+        return SacrificePolicy(
+            queue_size=config.sacrifice_queue,
+            max_per_epoch=config.sacrifice_max_per_epoch,
+        )
+    return None

@@ -13,6 +13,14 @@ the :mod:`repro.server.topology` stacks.  Both shapes are driven
 through :class:`ScenarioHarness`, so shards, checkpoint/resume,
 overload planes, and MBAC admission work identically on every spec.
 
+The subclass overrides construction (fleets, links, ports, per-link
+overload planes), the epoch step, route binding, and the admission
+decision; everything else a call goes through — install, readmission,
+the per-group arrival process, renegotiation completion, teardown —
+is the base gateway's, written once over the call's route.  Background
+cross-traffic is one :class:`BackgroundDriver` per link in both
+shapes, held and applied by the base gateway.
+
 Determinism contract.  Four scenario streams are appended to the
 classic six via the SeedSequence spawn-prefix property
 (``spawn_generators(seed, 10)[6:]`` leaves streams 0-5 identical):
@@ -31,7 +39,8 @@ by ``group * GROUP_STRIDE + slot``.  Same seed (and fault seed) =>
 bit-identical snapshot stream for shards ∈ {0, 1, N}, and
 ``run(T1); save; restore; run(T2)`` equals ``run(T1 + T2)``.
 
-Setup admission differs from the classic runtime by design: a call's
+The admission decision, :meth:`ScenarioGateway._offer`, is the one
+setup step that differs from the classic runtime, by design: a call's
 initial rate travels its route as a real reservation
 (``path.renegotiate`` from rate 0), so a hop without headroom *blocks*
 the call — on a network, admission is the ports' decision, which is
@@ -57,7 +66,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import networkx as nx
@@ -67,7 +76,7 @@ from repro.admission.callsim import arrival_rate_for_load
 from repro.faults.injectors import FaultPlan
 from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
-from repro.overload.policies import make_overload_policy
+from repro.overload.policies import policy_for_config
 from repro.queueing.link import RcbrLink
 from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -77,6 +86,7 @@ from repro.server.stats import ServerReport
 from repro.server.topology import (
     CallBinding,
     FleetStack,
+    GroupStats,
     LinkStack,
     PathStack,
 )
@@ -102,10 +112,13 @@ def _route_edges(route: Tuple[str, ...]) -> List[Tuple[str, str]]:
     return list(zip(route[:-1], route[1:]))
 
 
-def _link_entry(link, port, background: float, plane) -> Dict[str, object]:
+def _link_entry(link, port, backgrounds, plane) -> Dict[str, object]:
     """One link's state as both runtime shapes report it: the live link,
-    its bottleneck port, the background rate applied to it, and its
-    overload plane's section when one runs."""
+    its bottleneck port, the background rate applied to it by any of
+    ``backgrounds``, and its overload plane's section when one runs."""
+    background = next(
+        (driver.rate for driver in backgrounds if driver.link is link), 0.0
+    )
     entry: Dict[str, object] = {
         "capacity": float(link.capacity),
         "allocated": float(link.allocated),
@@ -119,6 +132,11 @@ def _link_entry(link, port, background: float, plane) -> Dict[str, object]:
     if plane is not None:
         entry["overload"] = plane.section()
     return entry
+
+
+def _group_entry(active: int, stats: GroupStats) -> Dict[str, object]:
+    """One flow group's state as both runtime shapes report it."""
+    return {"active": int(active), **asdict(stats)}
 
 
 def scenario_fingerprint(spec: ScenarioSpec) -> str:
@@ -138,15 +156,6 @@ def scenario_fingerprint(spec: ScenarioSpec) -> str:
 
 class ScenarioGateway(RcbrGateway):
     """The multi-bottleneck RCBR gateway (see the module docstring)."""
-
-    EVENT_CALLBACK_ALLOWLIST = RcbrGateway.EVENT_CALLBACK_ALLOWLIST | {
-        "_handle_group_arrival"
-    }
-
-    EVENT_ARG_CODECS = {
-        **RcbrGateway.EVENT_ARG_CODECS,
-        "_handle_group_arrival": (int,),
-    }
 
     def __init__(
         self,
@@ -180,9 +189,10 @@ class ScenarioGateway(RcbrGateway):
         # Scenario streams 6..9; the spawn-prefix property keeps the
         # classic streams 0..5 identical to a same-seed classic run
         # (and streams 6..8 identical to pre-overload scenario runs).
+        # The background stream (7) is drawn by background_drivers.
         (
             self._workload_rng,
-            self._bg_rng,
+            _,
             self._path_rng,
             self._link_overload_rng,
         ) = spawn_generators(
@@ -218,32 +228,10 @@ class ScenarioGateway(RcbrGateway):
             for key, link in zip(self._edge_keys, spec.links)
         }
 
-        # Background rate series (bits/s per epoch), sampled up front in
-        # background order and clamped at the peak fraction so the RCBR
-        # side always keeps some capacity.
-        self._bg_keys = []
-        self._bg_series: Dict[Tuple, np.ndarray] = {}
-        self._bg_current: Dict[Tuple, float] = {}
-        for bg in spec.background:
-            key = _edge_key(bg.u, bg.v)
-            capacity = self._edge_capacity[key]
-            bg_source = make_source(
-                bg.traffic,
-                mean_rate=bg.mean_fraction * capacity,
-                slot_duration=spec.slot_duration,
-            )
-            sample = bg_source.sample_workload(
-                spec.source_slots, seed=self._bg_rng
-            )
-            rates = np.minimum(
-                sample.bits_per_slot / spec.slot_duration,
-                bg.peak_fraction * capacity,
-            )
-            self._bg_keys.append(key)
-            self._bg_series[key] = rates
-            self._bg_current[key] = 0.0
-
         super().__init__(self._group_workloads[0], config, faults=faults)
+        self.backgrounds = background_drivers(
+            spec, self._edge_ports, self._edge_links
+        )
 
         # The base class built a single plane over the whole-topology
         # LinkStack — meaningless pressure.  Replace it with one plane
@@ -254,33 +242,20 @@ class ScenarioGateway(RcbrGateway):
         # epoch sequence (and fingerprint) is unchanged.
         self.overload_plane = None
         self._link_planes: List[Tuple[Tuple[str, str], Any]] = []
-        if config.overload_policy not in (None, "block"):
-            for key in self._edge_keys:
-                if config.overload_policy == "downgrade":
-                    policy = make_overload_policy(
-                        "downgrade",
-                        ladder=config.downgrade_ladder,
-                        dwell=config.overload_dwell,
-                    )
-                else:
-                    policy = make_overload_policy(
-                        "sacrifice",
-                        queue_size=config.sacrifice_queue,
-                        max_per_epoch=config.sacrifice_max_per_epoch,
-                    )
-                agent = LinkScopedOverloadAgent(
-                    self, key, self._edge_links[key]
-                )
-                plane = OverloadControlPlane(
-                    agent,
-                    policy,
-                    enter=config.overload_enter,
-                    exit_=config.overload_exit,
-                    dwell=config.overload_dwell,
-                    num_classes=self.num_classes,
-                    rng=self._link_overload_rng,
-                )
-                self._link_planes.append((key, plane))
+        for key in self._edge_keys:
+            policy = policy_for_config(config)
+            if policy is None:
+                break
+            plane = OverloadControlPlane(
+                LinkScopedOverloadAgent(self, key, self._edge_links[key]),
+                policy,
+                enter=config.overload_enter,
+                exit_=config.overload_exit,
+                dwell=config.overload_dwell,
+                num_classes=self.num_classes,
+                rng=self._link_overload_rng,
+            )
+            self._link_planes.append((key, plane))
 
         # Per-route shared signaling paths, created lazily in call
         # order; the stack view feeds the base snapshot fields and
@@ -297,10 +272,10 @@ class ScenarioGateway(RcbrGateway):
         # Per-group Poisson arrival rates against the (k=1) shortest
         # route's bottleneck capacity — the same Erlang identity the
         # classic config uses, so per-link offered loads are additive.
-        self._group_rates: List[float] = []
+        self._arrival_rates = []
         for flow, workload in zip(spec.flows, self._group_workloads):
             if flow.load <= 0:
-                self._group_rates.append(0.0)
+                self._arrival_rates.append(0.0)
                 continue
             route = self.network.k_shortest_paths(
                 flow.source, flow.target, 1
@@ -309,7 +284,7 @@ class ScenarioGateway(RcbrGateway):
                 self._edge_capacity[_edge_key(u, v)]
                 for u, v in _route_edges(tuple(route))
             )
-            self._group_rates.append(
+            self._arrival_rates.append(
                 arrival_rate_for_load(
                     flow.load,
                     bottleneck,
@@ -367,32 +342,29 @@ class ScenarioGateway(RcbrGateway):
         return path
 
     # ------------------------------------------------------------------
-    # Call lifecycle
+    # Call setup
     # ------------------------------------------------------------------
     def preload(self) -> None:
+        """Offer every flow group's initial calls one by one (setup is
+        route signaling, so there is no batch admission), then arm one
+        arrival process per group."""
         if self._preloaded:
             return
         self._preloaded = True
         for group, flow in enumerate(self.spec.flows):
             for _ in range(flow.initial_calls):
-                self._admit_group_call(group, 0.0)
+                self._offer(group, 0.0)
         for group in range(len(self.spec.flows)):
-            self._schedule_group_arrival(group)
+            self._schedule_arrival(group)
 
-    def _schedule_group_arrival(self, group: int) -> None:
-        rate = self._group_rates[group]
-        if rate <= 0:
-            return
-        gap = float(self._arrival_rng.exponential(1.0 / rate))
-        self.engine.schedule_in(gap, self._handle_group_arrival, group)
+    def _offer(self, group: int, now: float) -> Optional[int]:
+        """Offer one call to ``group``; admission is route setup.
 
-    def _handle_group_arrival(self, group: int) -> None:
-        self._admit_group_call(group, self.engine.now)
-        self._schedule_group_arrival(group)
-
-    def _admit_group_call(self, group: int, now: float) -> Optional[int]:
-        """Offer one call to ``group``; admission is route setup."""
-        flow = self.spec.flows[group]
+        Unlike the classic decision, the workload shift is drawn before
+        it, and the initial reservation travels the bound route for
+        real: any hop without headroom denies (and rolls back upstream
+        commits), blocking the call.
+        """
         stats = self.group_stats[group]
         fleet = self._fleets[group]
         self.arrivals += 1
@@ -403,96 +375,63 @@ class ScenarioGateway(RcbrGateway):
             self._call_rng.integers(self._group_workloads[group].num_slots)
         )
         call_id = next(self._call_ids)
-        slot, initial_rate = fleet.admit(call_id, shift, call_class)
-        k = flow.route_k if flow.route_k is not None else self.spec.route_k
-        route = tuple(
-            self.network.select_route(
-                flow.source, flow.target, k=k, rate_hint=initial_rate
-            )
-        )
+        slot, rate = fleet.admit(call_id, shift, call_class)
+        key = group * GROUP_STRIDE + slot
+        self._bind(key, call_id, rate)
+        vci, _, path, ports = self._route(key, call_id)
         bottleneck = min(
-            self._edge_capacity[_edge_key(u, v)]
-            for u, v in _route_edges(route)
+            self._edge_capacity[edge] for edge in self._bindings[key].edge_keys
         )
-        path = self._path_for_route(route)
         admitted = self.controller.admit(
             bottleneck, now, call_class=call_class
-        )
-        net = self._net_slots.intern(call_id)
-        if admitted:
-            # The initial reservation travels the route for real: any
-            # hop without headroom denies (and rolls back upstream
-            # commits), blocking the call.
-            admitted = path.renegotiate(
-                RenegotiationRequest(
-                    vci=net,
-                    old_rate=0.0,
-                    new_rate=initial_rate,
-                    time=now,
-                )
+        ) and path.renegotiate(
+            RenegotiationRequest(
+                vci=vci, old_rate=0.0, new_rate=rate, time=now
             )
+        )
         if not admitted:
-            # A setup cell lost after upstream hops committed leaves
-            # them holding its rate (drift that no teardown ever
-            # repairs); such a slot stays out of reuse so no later call
-            # inherits the stale reservation.
-            if not any(port.rate_of(net) for port in path.ports):
-                self._net_slots.release(call_id)
+            if any(port.rate_of(vci) for port in ports):
+                # A setup cell lost after upstream hops committed leaves
+                # them holding its rate (drift no teardown repairs);
+                # that slot stays out of reuse so no later call
+                # inherits the stale reservation.
+                del self._bindings[key]
+            else:
+                self._unbind(key, call_id)
             fleet.remove(slot)
             self.blocked += 1
             stats.blocked += 1
             self.offered.on_blocked(call_class)
             return None
         holding = float(self._call_rng.exponential(self.mean_holding))
-        return self._install_group_call(
-            group, slot, call_id, initial_rate, holding, call_class, now,
-            route, path,
+        return self._install_call(
+            key, call_id, rate, holding, call_class, now, provision=False
         )
 
-    def _install_group_call(
-        self,
-        group: int,
-        slot: int,
-        call_id: int,
-        initial_rate: float,
-        holding: float,
-        call_class: int,
-        now: float,
-        route: Tuple[str, ...],
-        path: SignalingPath,
-    ) -> int:
-        fleet = self._fleets[group]
-        stats = self.group_stats[group]
-        edge_keys = tuple(
-            _edge_key(u, v) for u, v in _route_edges(route)
+    def _bind(self, key: int, call_id: int, rate: float) -> None:
+        """Select the entering call's route (``rate`` breaks ties toward
+        feasibility), bind it, and intern the call's network slot."""
+        flow = self.spec.flows[key // GROUP_STRIDE]
+        k = flow.route_k if flow.route_k is not None else self.spec.route_k
+        self._bind_route(
+            key,
+            tuple(
+                self.network.select_route(
+                    flow.source, flow.target, k=k, rate_hint=rate
+                )
+            ),
         )
-        links = tuple(self._edge_links[key] for key in edge_keys)
-        net = self._net_slots.intern(call_id)
-        granted = initial_rate
-        failed = False
-        for link in links:
-            outcome = link.request(net, initial_rate, now)
-            granted = min(granted, outcome.granted_rate)
-            failed = failed or outcome.failed
-        if failed:
-            self.setup_shortfalls += 1
-            for link in links:
-                if link.grant_of(net) > granted + 1e-12:
-                    link.request(net, granted, now)
-        fleet.set_rate(slot, granted)
-        self.controller.on_admit(call_id, granted, now, call_class=call_class)
-        self.admitted += 1
-        stats.admitted += 1
-        self.offered.on_admitted(call_class)
-        gslot = group * GROUP_STRIDE + slot
-        self._bindings[gslot] = CallBinding(
-            group=group, route=route, path=path, links=links,
+        self._net_slots.intern(call_id)
+
+    def _bind_route(self, key: int, route: Tuple[str, ...]) -> None:
+        edge_keys = tuple(_edge_key(u, v) for u, v in _route_edges(route))
+        self._bindings[key] = CallBinding(
+            group=key // GROUP_STRIDE,
+            route=route,
+            path=self._path_for_route(route),
+            links=tuple(self._edge_links[edge] for edge in edge_keys),
             edge_keys=edge_keys,
         )
-        self._departure_events[call_id] = self.engine.schedule_at(
-            now + holding, self._handle_departure, gslot, call_id
-        )
-        return call_id
 
     def _route(self, key: int, call_id: int):
         """A routed call reserves under its network slot on its route."""
@@ -523,49 +462,10 @@ class ScenarioGateway(RcbrGateway):
                 mask[int(offsets[group]) + slot] = True
         return mask
 
-    def readmit_member_call(
-        self, entry: Tuple[int, int, float, int], now: float
-    ) -> int:
-        """Put a sacrificed call back in service for its remaining
-        holding time under a fresh call id and a freshly selected route.
-        Like the classic readmission, the admission controller is not
-        consulted and the route reservation is installed directly — the
-        plane only readmits once pressure is below the exit threshold."""
-        call_class, shift, remaining, group = (
-            int(entry[0]), int(entry[1]), float(entry[2]), int(entry[3]),
-        )
-        flow = self.spec.flows[group]
-        fleet = self._fleets[group]
-        stats = self.group_stats[group]
-        self.arrivals += 1
-        stats.arrivals += 1
-        self.offered.on_arrival(call_class)
-        call_id = next(self._call_ids)
-        slot, initial_rate = fleet.admit(call_id, shift, call_class)
-        k = flow.route_k if flow.route_k is not None else self.spec.route_k
-        route = tuple(
-            self.network.select_route(
-                flow.source, flow.target, k=k, rate_hint=initial_rate
-            )
-        )
-        path = self._path_for_route(route)
-        call_id_installed = self._install_group_call(
-            group, slot, call_id, initial_rate, remaining, call_class,
-            now, route, path,
-        )
-        # Mirror the link grants onto the route ports directly (no
-        # signaling round trip): readmission is the plane's decision.
-        granted = float(fleet.rate[slot])
-        net = self._net_slots.slot_of[call_id]
-        for key in self._bindings[group * GROUP_STRIDE + slot].edge_keys:
-            self._edge_ports[key].provision(net, granted)
-        return call_id_installed
-
     # ------------------------------------------------------------------
     # The epoch step
     # ------------------------------------------------------------------
     def _step_epoch(self, tick: int, now: float, end_of_slot: float) -> None:
-        self._apply_background(tick, now)
         downgrade = self._poll_link_planes(tick, now)
         for group, fleet in enumerate(self._fleets):
             step = fleet.step(
@@ -621,46 +521,17 @@ class ScenarioGateway(RcbrGateway):
             key = base + slot
             vci, _, path, _ = self._route(key, call_id)
             old_rate = float(fleet.rate[slot])
-            increase = new_rate > old_rate
             fleet.pending[slot] = True
             self.reneg_requests += 1
             stats.reneg_requests += 1
-            if (
-                increase
-                and self.faults is not None
-                and self.faults.should_deny(end_of_slot)
-            ):
-                self.injected_denials += 1
-                granted = False
-            else:
-                granted = path.renegotiate(
-                    RenegotiationRequest(
-                        vci=vci,
-                        old_rate=old_rate,
-                        new_rate=new_rate,
-                        time=end_of_slot,
-                    )
-                )
+            granted = self._signal(path, vci, old_rate, new_rate, end_of_slot)
             self.engine.schedule_at(
                 end_of_slot + path.round_trip_time,
                 self._complete,
                 key,
                 call_id,
                 new_rate,
-                granted or not increase,
-            )
-
-    def _apply_background(self, tick: int, now: float) -> None:
-        for key in self._bg_keys:
-            series = self._bg_series[key]
-            rate = float(series[tick % series.size])
-            previous = self._bg_current[key]
-            if rate == previous:
-                continue
-            self._bg_current[key] = rate
-            self._edge_ports[key].reprovision(BACKGROUND_VCI, rate - previous)
-            self._edge_links[key].set_capacity(
-                self._edge_capacity[key] - rate, now
+                granted or not new_rate > old_rate,
             )
 
     # ------------------------------------------------------------------
@@ -668,28 +539,21 @@ class ScenarioGateway(RcbrGateway):
     # ------------------------------------------------------------------
     def _network_section(self) -> Dict[str, object]:
         planes = dict(self._link_planes)
-        links: Dict[str, Dict[str, object]] = {}
-        for link_spec, key in zip(self.spec.links, self._edge_keys):
-            links[f"{link_spec.u}~{link_spec.v}"] = _link_entry(
+        links = {
+            f"{link_spec.u}~{link_spec.v}": _link_entry(
                 self._edge_links[key],
                 self._edge_ports[key],
-                self._bg_current.get(key, 0.0),
+                self.backgrounds,
                 planes.get(key),
             )
-        groups: Dict[str, Dict[str, object]] = {}
-        for flow, fleet, stats in zip(
-            self.spec.flows, self._fleets, self.group_stats
-        ):
-            groups[flow.name] = {
-                "active": int(fleet.num_active),
-                "arrivals": stats.arrivals,
-                "blocked": stats.blocked,
-                "admitted": stats.admitted,
-                "departed": stats.departed,
-                "abandoned": stats.abandoned,
-                "reneg_requests": stats.reneg_requests,
-                "reneg_denied": stats.reneg_denied,
-            }
+            for link_spec, key in zip(self.spec.links, self._edge_keys)
+        }
+        groups = {
+            flow.name: _group_entry(fleet.num_active, stats)
+            for flow, fleet, stats in zip(
+                self.spec.flows, self._fleets, self.group_stats
+            )
+        }
         return {"links": links, "groups": groups}
 
     # ------------------------------------------------------------------
@@ -697,14 +561,14 @@ class ScenarioGateway(RcbrGateway):
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """The base export (the stacks serialize per group/edge/route)
-        plus the scenario-only state: call-route bindings, applied
-        background rates, the two live scenario streams, and the
-        per-link overload planes.
+        plus the scenario-only state: call-route bindings, the two live
+        scenario streams, and the per-link overload planes.
 
         The workload stream (6) and background stream (7) are consumed
         only during ``__init__`` — a restoring gateway re-draws them
         identically from the spec — so like the classic workload
-        stream, they are not captured.
+        stream, they are not captured; the base restore re-derives the
+        applied background rates from the series.
         """
         state = super().state_dict()
         state["scenario"] = {
@@ -713,9 +577,6 @@ class ScenarioGateway(RcbrGateway):
                 for gslot, binding in self._bindings.items()
             ],
             "net_slots": self._net_slots.state_dict(),
-            "bg_current": [
-                self._bg_current[key] for key in self._bg_keys
-            ],
             "rng": {
                 "path": self._path_rng.bit_generator.state,
                 "link_overload": (
@@ -735,24 +596,9 @@ class ScenarioGateway(RcbrGateway):
         # creation order) through the factory; bindings can now resolve
         # routes back to live paths and links.
         self._bindings = {}
-        for gslot, route in scenario["bindings"]:  # type: ignore[index]
-            gslot = int(gslot)
-            route = tuple(route)
-            edge_keys = tuple(
-                _edge_key(u, v) for u, v in _route_edges(route)
-            )
-            self._bindings[gslot] = CallBinding(
-                group=gslot // GROUP_STRIDE,
-                route=route,
-                path=self._route_paths[route],
-                links=tuple(self._edge_links[key] for key in edge_keys),
-                edge_keys=edge_keys,
-            )
+        for key, route in scenario["bindings"]:  # type: ignore[index]
+            self._bind_route(int(key), tuple(route))
         self._net_slots.load_state(scenario["net_slots"])  # type: ignore[index]
-        for key, value in zip(
-            self._bg_keys, scenario["bg_current"]  # type: ignore[index]
-        ):
-            self._bg_current[key] = float(value)
         rng_states = scenario["rng"]  # type: ignore[index]
         self._path_rng.bit_generator.state = rng_states["path"]
         self._link_overload_rng.bit_generator.state = (
@@ -839,57 +685,74 @@ class ScenarioResult:
 
 
 class BackgroundDriver:
-    """The single-bottleneck background epoch hook as an object.
+    """One link's background cross-traffic: a rate series (bits/s per
+    epoch) that takes capacity from ``link`` and holds it on ``port``
+    under :data:`BACKGROUND_VCI`.
 
-    Same arithmetic as always (stream 7 series, last port, set_capacity
-    on change) but with its applied rate held where a resume can reach
-    it: the hook runs *before* the tick it gates, so a checkpoint
-    stamped ``next_tick=T`` saw the background rate of tick ``T - 1``
-    applied — :meth:`sync_to` re-derives that from the series, making
-    kill-and-resume bit-exact with no extra checkpoint state.
+    The gateway applies every driver just before each epoch step, so a
+    checkpoint stamped ``next_tick=T`` saw the rate of tick ``T - 1``
+    applied; :meth:`sync_to` re-derives it from the series, making
+    kill-and-resume bit-exact with no checkpoint state of its own.
     """
 
-    def __init__(self, spec: ScenarioSpec, gateway: RcbrGateway) -> None:
-        link = spec.links[0]
-        bg = spec.background[0]
-        # Stream 7 is the scenario background stream in both runtime
-        # shapes (see the module docstring).
-        bg_rng = spawn_generators(spec.seed, _BASE_STREAMS + 2)[
-            _BASE_STREAMS + 1
-        ]
-        bg_source = make_source(
-            bg.traffic,
-            mean_rate=bg.mean_fraction * link.capacity,
-            slot_duration=spec.slot_duration,
-        )
-        self._series = np.minimum(
-            bg_source.sample_workload(
-                spec.source_slots, seed=bg_rng
-            ).bits_per_slot
-            / spec.slot_duration,
-            bg.peak_fraction * link.capacity,
-        )
-        self._capacity = link.capacity
-        self._port = gateway.ports[-1]
+    def __init__(self, series: np.ndarray, capacity: float, port, link) -> None:
+        self.series = series
+        self.capacity = float(capacity)
+        self.port = port
+        self.link = link
         #: The background rate applied to the link right now.
         self.rate = 0.0
 
-    def __call__(self, tick: int, gw: RcbrGateway) -> None:
-        rate = float(self._series[tick % self._series.size])
+    def apply(self, tick: int, now: float) -> None:
+        rate = float(self.series[tick % self.series.size])
         previous = self.rate
         if rate != previous:
             self.rate = rate
-            self._port.reprovision(BACKGROUND_VCI, rate - previous)
-            gw.link.set_capacity(self._capacity - rate, gw.engine.now)
+            self.port.reprovision(BACKGROUND_VCI, rate - previous)
+            self.link.set_capacity(self.capacity - rate, now)
 
     def sync_to(self, next_tick: int) -> None:
-        """Align the applied-rate latch with a restored gateway."""
-        if next_tick > 0:
-            self.rate = float(
-                self._series[(next_tick - 1) % self._series.size]
-            )
-        else:
-            self.rate = 0.0
+        """Align the applied rate with a gateway restored at ``next_tick``."""
+        self.rate = (
+            float(self.series[(next_tick - 1) % self.series.size])
+            if next_tick > 0
+            else 0.0
+        )
+
+
+def background_drivers(
+    spec: ScenarioSpec,
+    ports: Dict[Tuple[str, str], Any],
+    links: Dict[Tuple[str, str], Any],
+) -> List[BackgroundDriver]:
+    """One driver per background process of ``spec``, over the port and
+    link of its edge (both keyed by canonical edge key).
+
+    Every series is sampled on stream 7, the scenario background stream
+    of both runtime shapes (see the module docstring), in background
+    order, and clamped at the peak fraction so the RCBR side always
+    keeps some capacity.
+    """
+    rng = spawn_generators(spec.seed, _BASE_STREAMS + 2)[_BASE_STREAMS + 1]
+    capacities = {
+        _edge_key(link.u, link.v): link.capacity for link in spec.links
+    }
+    drivers = []
+    for bg in spec.background:
+        key = _edge_key(bg.u, bg.v)
+        capacity = capacities[key]
+        source = make_source(
+            bg.traffic,
+            mean_rate=bg.mean_fraction * capacity,
+            slot_duration=spec.slot_duration,
+        )
+        series = np.minimum(
+            source.sample_workload(spec.source_slots, seed=rng).bits_per_slot
+            / spec.slot_duration,
+            bg.peak_fraction * capacity,
+        )
+        drivers.append(BackgroundDriver(series, capacity, ports[key], links[key]))
+    return drivers
 
 
 class ScenarioHarness:
@@ -919,7 +782,6 @@ class ScenarioHarness:
 
         self.spec = spec
         self.shards = int(shards)
-        self._background: Optional[BackgroundDriver] = None
         self._section: Optional[Dict[str, object]] = None
         if spec.single_bottleneck:
             link = spec.links[0]
@@ -948,8 +810,10 @@ class ScenarioHarness:
             self.gateway = build_gateway(
                 None, config, faults=faults, source=source
             )
-            if spec.background:
-                self._background = BackgroundDriver(spec, self.gateway)
+            key = _edge_key(link.u, link.v)
+            self.gateway.backgrounds = background_drivers(
+                spec, {key: self.gateway.ports[-1]}, {key: self.gateway.link}
+            )
         else:
             self.gateway = ScenarioGateway(
                 spec, faults=faults, shards=shards
@@ -975,22 +839,6 @@ class ScenarioHarness:
         epoch_hook=None,
     ) -> ServerReport:
         spec = self.spec
-        background = self._background
-        if epoch_hook is None:
-            hook = background
-        elif background is None:
-            hook = epoch_hook
-        else:
-            def hook(tick: int, gw: RcbrGateway):
-                # The serve hook first: a stop/save request breaks the
-                # loop *before* the tick is stepped, so background for
-                # this tick must not apply either (it applies on the
-                # resumed run's first tick instead).
-                stop = epoch_hook(tick, gw)
-                if stop:
-                    return stop
-                background(tick, gw)
-                return None
         report = self.gateway.run(
             spec.duration if duration is None else duration,
             snapshot_every=(
@@ -998,7 +846,7 @@ class ScenarioHarness:
                 if snapshot_every is None
                 else snapshot_every
             ),
-            epoch_hook=hook,
+            epoch_hook=epoch_hook,
         )
         if isinstance(self.gateway, ScenarioGateway):
             # Captured while the gateway is open: sharded fleet columns
@@ -1030,8 +878,6 @@ class ScenarioHarness:
             },
         )
         self.gateway.load_state(state)
-        if self._background is not None:
-            self._background.sync_to(self.gateway._next_tick)
 
     def result(self, report: ServerReport) -> ScenarioResult:
         spec = self.spec
@@ -1046,26 +892,17 @@ class ScenarioHarness:
                 links=section["links"],  # type: ignore[arg-type]
             )
         link = spec.links[0]
-        flow = spec.flows[0]
-        final = report.final
-        groups = {
-            flow.name: {
-                "active": final.active_calls,
-                "arrivals": final.arrivals,
-                "blocked": final.blocked,
-                "admitted": final.admitted,
-                "departed": final.departed,
-                "abandoned": final.abandoned,
-                "reneg_requests": final.reneg_requests,
-                "reneg_denied": final.reneg_denied,
-            }
-        }
         gateway = self.gateway
+        groups = {
+            spec.flows[0].name: _group_entry(
+                report.final.active_calls, gateway.group_stats[0]
+            )
+        }
         links = {
             f"{link.u}~{link.v}": _link_entry(
                 gateway.link,
                 gateway.ports[-1],
-                self._background.rate if self._background else 0.0,
+                gateway.backgrounds,
                 gateway.overload_plane,
             )
         }

@@ -67,7 +67,9 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: Schema 3: ``MemoryMBAC`` pickles its columnar histories.
 #: Schema 4: one completion event per classic epoch, event keys on a
 #: 2**32 group stride, and per-group counters in the base export.
-CHECKPOINT_SCHEMA = 4
+#: Schema 5: arrival events carry their flow group, and the scenario
+#: export drops the applied background rates (re-derived on restore).
+CHECKPOINT_SCHEMA = 5
 
 
 class CheckpointError(RuntimeError):

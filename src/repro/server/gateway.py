@@ -35,23 +35,30 @@ reserve at the link, ports and path under their pool slot, so the link
 and ports are flat columns.  ``config.shards`` chooses only where step
 2 runs: inline (0) or on a worker pool (:mod:`repro.server.sharded`).
 
-The per-call control plane — completion, teardown, abandonment,
-eviction and shrink — is written once, over a call's *route*
-(:meth:`RcbrGateway._route`): the links, signaling path and switch ports
-it reserved on, and the handle it reserved under.  Heap events address a
-call by the key ``group * GROUP_STRIDE + slot``; the classic service is
-flow group 0 with the one-link route, and the scenario runtime
-(:mod:`repro.scenarios.runtime`) supplies one route per call over a
-topology.
+The per-call control plane — install, readmission, completion,
+teardown, abandonment, eviction and shrink — is written once, over a
+call's *route* (:meth:`RcbrGateway._route`): the links, signaling path
+and switch ports it reserved on, and the handle it reserved under.
+Heap events address a call by the key ``group * GROUP_STRIDE + slot``;
+the classic service is flow group 0 with the one-link route, and the
+scenario runtime (:mod:`repro.scenarios.runtime`) binds one route per
+call over a topology (:meth:`RcbrGateway._bind`).  The arrival process
+is one Poisson stream per flow group, and background cross-traffic is
+one :class:`~repro.scenarios.runtime.BackgroundDriver` per link, applied
+before every epoch step.
 
-Dual bandwidth authority, by design: call setup/teardown provision the
-switch ports directly (admission is the CAC's decision, not the ER fast
-path's — and it mirrors :mod:`repro.admission.callsim`, which models no
-setup signaling), while renegotiations travel the path under faults.
-Lost decreases, duplicated increases, and partial outage commits
-therefore leave the *ports* over-reserving relative to the *link* — the
-paper's drift story — and a conservative bottleneck port means a
-path-granted increase also fits on the link.  The one way round that is
+Dual bandwidth authority, by design.  The one setup step the two
+gateways write differently is the admission decision,
+:meth:`RcbrGateway._offer`.  Here the CAC decides, and the accepted
+call's setup provisions the switch ports directly (admission is the
+CAC's decision, not the ER fast path's — and it mirrors
+:mod:`repro.admission.callsim`, which models no setup signaling); on a
+route graph the setup reservation travels the route instead.
+Renegotiations travel the path under faults.  Lost decreases,
+duplicated increases, and partial outage commits therefore leave the
+*ports* over-reserving relative to the *link* — the paper's drift
+story — and a conservative bottleneck port means a path-granted
+increase also fits on the link.  The one way round that is
 over-admission: a setup the link grants only in part
 (``setup_shortfalls``) leaves the call's unmet demand in the link's
 shortfall FIFO, and the link back-fills it as capacity frees without the
@@ -100,7 +107,7 @@ from repro.admission.controllers import AdmissionController
 from repro.admission.offered import OfferedLoadAccountant
 from repro.faults.injectors import FaultPlan
 from repro.overload.plane import OverloadControlPlane
-from repro.overload.policies import make_overload_policy
+from repro.overload.policies import policy_for_config
 from repro.queueing.events import Event, EventScheduler
 from repro.queueing.link import RcbrLink
 from repro.server.config import ServerConfig, build_controller
@@ -143,6 +150,7 @@ class RcbrGateway:
     #: (every value is exactly representable), restored with the
     #: original types below.
     EVENT_ARG_CODECS: Dict[str, tuple] = {
+        "_handle_arrival": (int,),
         "_handle_departure": (int, int),
         "_complete": (int, int, float, bool),
     }
@@ -215,7 +223,8 @@ class RcbrGateway:
             if config.mean_holding is not None
             else workload.duration
         )
-        self.arrival_rate = (
+        #: Poisson call-arrival rate per flow group.
+        self._arrival_rates = [
             0.0
             if config.load <= 0
             else arrival_rate_for_load(
@@ -224,7 +233,10 @@ class RcbrGateway:
                 workload.mean_rate,
                 self.mean_holding,
             )
-        )
+        ]
+        #: Background cross-traffic drivers, applied before every epoch
+        #: step (see :class:`repro.scenarios.runtime.BackgroundDriver`).
+        self.backgrounds: list = []
 
         self._call_ids = itertools.count()
         self._departure_events: Dict[int, Event] = {}
@@ -248,20 +260,7 @@ class RcbrGateway:
 
         # The overload control plane — block means "no plane": the
         # baseline takes the exact pre-overload code path.
-        if config.overload_policy == "downgrade":
-            policy = make_overload_policy(
-                "downgrade",
-                ladder=config.downgrade_ladder,
-                dwell=config.overload_dwell,
-            )
-        elif config.overload_policy == "sacrifice":
-            policy = make_overload_policy(
-                "sacrifice",
-                queue_size=config.sacrifice_queue,
-                max_per_epoch=config.sacrifice_max_per_epoch,
-            )
-        else:
-            policy = None
+        policy = policy_for_config(config)
         self.overload_plane = (
             OverloadControlPlane(
                 self,
@@ -356,47 +355,100 @@ class RcbrGateway:
         """One arriving call's service class (``Generator.choice`` exactly)."""
         return bisect_right(self._class_cdf, self._overload_rng.random())
 
-    def _admit_call(self, now: float) -> Optional[int]:
-        """Offer one call; returns its id if admitted, None if blocked."""
+    def _offer(self, group: int, now: float) -> Optional[int]:
+        """Offer one call to ``group``; returns its id if admitted, None
+        if blocked.
+
+        The admission decision is the one setup step the gateways write
+        differently.  Here the CAC decides against the link capacity, the
+        workload shift is drawn only after the decision, and the setup
+        provisions the ports directly; the scenario gateway draws the
+        shift first and sends the setup reservation down its route.
+        """
+        stats = self.group_stats[group]
         self.arrivals += 1
+        stats.arrivals += 1
         call_class = self._draw_class()
         self.offered.on_arrival(call_class)
         if not self.controller.admit(
             self.config.capacity, now, call_class=call_class
         ):
             self.blocked += 1
+            stats.blocked += 1
             self.offered.on_blocked(call_class)
             return None
         shift = int(self._call_rng.integers(self.workload.num_slots))
         holding = float(self._call_rng.exponential(self.mean_holding))
-        return self._install_call(shift, holding, call_class, now)
+        call_id = next(self._call_ids)
+        slot, rate = self.fleet.admit(call_id, shift, call_class)
+        return self._install_call(
+            slot, call_id, rate, holding, call_class, now, provision=True
+        )
 
     def _install_call(
-        self, shift: int, holding: float, call_class: int, now: float
+        self,
+        key: int,
+        call_id: int,
+        rate: float,
+        holding: float,
+        call_class: int,
+        now: float,
+        provision: bool,
     ) -> int:
-        """Put an accepted call in service (fresh admission or overload
-        readmission — the post-decision, post-draw part of admission)."""
-        call_id = next(self._call_ids)
-        slot, initial_rate = self.fleet.admit(call_id, shift, call_class)
-        outcome = self.link.request(slot, initial_rate, now)
-        if outcome.failed:
+        """Put an accepted, bound call in service: reserve its initial
+        ``rate`` on every link of its route, provision the route's ports
+        when ``provision`` is set (a setup that did not travel the route
+        itself), and arm its departure ``holding`` seconds from ``now``."""
+        group, slot = divmod(key, GROUP_STRIDE)
+        vci, links, _, ports = self._route(key, call_id)
+        granted, failed = self._reserve(vci, links, rate, now)
+        if failed:
             self.setup_shortfalls += 1
-        granted = outcome.granted_rate
-        self.fleet.set_rate(slot, granted)
-        for port in self.ports:
-            port.provision(slot, granted)
+        self._fleets[group].set_rate(slot, granted)
+        if provision:
+            for port in ports:
+                port.provision(vci, granted)
         self.controller.on_admit(call_id, granted, now, call_class=call_class)
         self.admitted += 1
+        self.group_stats[group].admitted += 1
         self.offered.on_admitted(call_class)
         self._departure_events[call_id] = self.engine.schedule_at(
-            now + holding, self._handle_departure, slot, call_id
+            now + holding, self._handle_departure, key, call_id
         )
         return call_id
 
+    def _readmit(
+        self,
+        group: int,
+        call_class: int,
+        shift: int,
+        remaining: float,
+        now: float,
+    ) -> int:
+        """Put a sacrificed call back in service for its remaining
+        holding time, under a fresh call id and a freshly bound route.
+        Counted as a new arrival plus admission so the lifecycle
+        identities keep balancing; the admission controller is *not*
+        consulted — readmission is the plane's decision, made only when
+        pressure is back below the exit threshold — so the reservation
+        is installed and the ports provisioned directly."""
+        self.arrivals += 1
+        self.group_stats[group].arrivals += 1
+        self.offered.on_arrival(call_class)
+        call_id = next(self._call_ids)
+        slot, rate = self._fleets[group].admit(call_id, shift, call_class)
+        key = group * GROUP_STRIDE + slot
+        self._bind(key, call_id, rate)
+        return self._install_call(
+            key, call_id, rate, remaining, call_class, now, provision=True
+        )
+
     def _admit_batch(self, count: int, now: float) -> None:
-        """``count`` x :meth:`_admit_call` at ``now``, bit-identical, as
+        """``count`` x :meth:`_offer` at ``now``, bit-identical, as
         one vector admission (the exactness rules are in :meth:`preload`)."""
+        stats = self.group_stats[0]
         self.arrivals += count
+        stats.arrivals += count
         classes = np.searchsorted(
             self._class_cdf, self._overload_rng.random(count), side="right"
         )
@@ -405,7 +457,9 @@ class RcbrGateway:
             self.config.capacity, now, classes
         )
         if not bool(admitted.all()):
-            self.blocked += int(np.count_nonzero(~admitted))
+            blocked = int(np.count_nonzero(~admitted))
+            self.blocked += blocked
+            stats.blocked += blocked
             self.offered.record_batch("blocked", classes[~admitted])
             classes = classes[admitted]
         count = int(classes.size)
@@ -432,6 +486,7 @@ class RcbrGateway:
             call_ids, granted.tolist(), now, call_classes=classes
         )
         self.admitted += count
+        stats.admitted += count
         self.offered.record_batch("admitted", classes)
         schedule_at = self.engine.schedule_at
         departure = self._handle_departure
@@ -441,15 +496,16 @@ class RcbrGateway:
                 now + holding, departure, slot, call_id
             )
 
-    def _handle_arrival(self) -> None:
-        self._admit_call(self.engine.now)
-        self._schedule_next_arrival()
+    def _handle_arrival(self, group: int) -> None:
+        self._offer(group, self.engine.now)
+        self._schedule_arrival(group)
 
-    def _schedule_next_arrival(self) -> None:
-        if self.arrival_rate <= 0:
+    def _schedule_arrival(self, group: int) -> None:
+        rate = self._arrival_rates[group]
+        if rate <= 0:
             return
-        gap = float(self._arrival_rng.exponential(1.0 / self.arrival_rate))
-        self.engine.schedule_in(gap, self._handle_arrival)
+        gap = float(self._arrival_rng.exponential(1.0 / rate))
+        self.engine.schedule_in(gap, self._handle_arrival, group)
 
     def _handle_departure(self, key: int, call_id: int) -> None:
         group, slot = divmod(key, GROUP_STRIDE)
@@ -465,8 +521,32 @@ class RcbrGateway:
         call reserves under its pool slot on the one link and path."""
         return key, (self.link,), self.path, self.ports
 
+    def _bind(self, key: int, call_id: int, rate: float) -> None:
+        """Give an entering call its route, ``rate`` its initial rate
+        (the classic route is fixed)."""
+
     def _unbind(self, key: int, call_id: int) -> None:
         """Forget a leaving call's route (the classic route is fixed)."""
+
+    @staticmethod
+    def _reserve(vci: int, links, rate: float, now: float):
+        """Request ``rate`` for ``vci`` on every link of a route.  Returns
+        the route's grant (its tightest link's; on one link, that link's
+        own) and whether any link granted only in part, after which the
+        over-granting links are equalized down to the grant so per-link
+        utilization stays honest; the binding link keeps the unmet demand
+        (-> lost_bits).  A decrease never fails."""
+        granted = rate
+        failed = False
+        for link in links:
+            outcome = link.request(vci, rate, now)
+            granted = min(granted, outcome.granted_rate)
+            failed = failed or outcome.failed
+        if failed:
+            for link in links:
+                if link.grant_of(vci) > granted + 1e-12:
+                    link.request(vci, granted, now)
+        return granted, failed
 
     def _teardown(self, key: int, call_id: int, now: float) -> None:
         """Free every hop of a live call's route and take it out of
@@ -522,9 +602,7 @@ class RcbrGateway:
             return False
         call_id = int(fleet.call_id[slot])
         vci, links, _, ports = self._route(key, call_id)
-        granted = new_rate
-        for link in links:
-            granted = min(granted, link.request(vci, new_rate, now).granted_rate)
+        granted, _ = self._reserve(vci, links, new_rate, now)
         for port in ports:
             port.reprovision(vci, granted - old_rate)
         self.controller.on_reservation(call_id, granted, now)
@@ -561,23 +639,15 @@ class RcbrGateway:
                 slots, old_rates, new_rates, end_of_slot
             )
         else:
-            granted = np.zeros(count, dtype=bool)
-            for index, (slot, old_rate, new_rate) in enumerate(
-                zip(slots.tolist(), old_rates.tolist(), new_rates.tolist())
-            ):
-                if new_rate > old_rate and self.faults.should_deny(
-                    end_of_slot
-                ):
-                    self.injected_denials += 1
-                    continue
-                granted[index] = self.path.renegotiate(
-                    RenegotiationRequest(
-                        vci=slot,
-                        old_rate=old_rate,
-                        new_rate=new_rate,
-                        time=end_of_slot,
+            granted = np.array(
+                [
+                    self._signal(self.path, slot, old_rate, new_rate, end_of_slot)
+                    for slot, old_rate, new_rate in zip(
+                        slots.tolist(), old_rates.tolist(), new_rates.tolist()
                     )
-                )
+                ],
+                dtype=bool,
+            )
         # A lost decrease still applies at the source (it believes the new
         # rate), leaving the network over-reserving until resync — drift.
         apply = granted | ~increases
@@ -590,11 +660,35 @@ class RcbrGateway:
             apply,
         )
 
+    def _signal(
+        self,
+        path: SignalingPath,
+        vci: int,
+        old_rate: float,
+        new_rate: float,
+        time: float,
+    ) -> bool:
+        """One renegotiation's signaling, call by call: a fault plan's
+        injected denial for an increase, else the walk down ``path``.
+        Returns whether the path granted the new rate."""
+        if (
+            new_rate > old_rate
+            and self.faults is not None
+            and self.faults.should_deny(time)
+        ):
+            self.injected_denials += 1
+            return False
+        return path.renegotiate(
+            RenegotiationRequest(
+                vci=vci, old_rate=old_rate, new_rate=new_rate, time=time
+            )
+        )
+
     def _complete(
         self, key: int, call_id: int, new_rate: float, apply: bool
     ) -> None:
         """Land one renegotiation answer on every link of the call's
-        route.  With one link, the route's grant is that link's grant."""
+        route (see :meth:`_reserve`)."""
         group, slot = divmod(key, GROUP_STRIDE)
         fleet = self._fleets[group]
         if fleet.call_id[slot] != call_id:
@@ -603,20 +697,9 @@ class RcbrGateway:
         now = self.engine.now
         if apply:
             vci, links, _, _ = self._route(key, call_id)
-            granted = new_rate
-            failed = False
-            for link in links:
-                outcome = link.request(vci, new_rate, now)
-                granted = min(granted, outcome.granted_rate)
-                failed = failed or outcome.failed
+            granted, failed = self._reserve(vci, links, new_rate, now)
             if failed:
                 self.link_shortfalls += 1
-                # Equalize over-granting links down to the route
-                # bottleneck so per-link utilization stays honest; the
-                # binding link keeps the unmet demand (-> lost_bits).
-                for link in links:
-                    if link.grant_of(vci) > granted + 1e-12:
-                        link.request(vci, granted, now)
             fleet.set_rate(slot, granted)
             self.controller.on_reservation(call_id, granted, now)
             fleet.streak[slot] = 0
@@ -732,25 +815,18 @@ class RcbrGateway:
     def overload_readmit(
         self, entry: "tuple[int, int, float]", now: float
     ) -> int:
-        """Put a sacrificed call back in service for its remaining
-        holding time, under a fresh call id.  Counted as a new arrival
-        plus admission so the lifecycle identities keep balancing; the
-        admission controller is *not* consulted — readmission is the
-        plane's decision, made only when pressure is back below the
-        exit threshold."""
+        """Put a sacrificed call back in service (see :meth:`_readmit`)."""
         call_class, shift, remaining = entry
-        self.arrivals += 1
-        self.offered.on_arrival(call_class)
-        return self._install_call(shift, remaining, call_class, now)
+        return self._readmit(0, call_class, shift, remaining, now)
 
     def _step_epoch(self, tick: int, now: float, end_of_slot: float) -> None:
         """One data-plane epoch: overload poll, vector step, issue.
 
-        A construction seam like :meth:`_build_fleet`: the scenario
-        runtime (``repro.scenarios``) overrides it to apply background
-        cross-traffic and step one fleet per flow group.  The base body
-        is exactly the classic single-fleet epoch, so refactoring it out
-        of :meth:`run` changes no fingerprint.
+        :meth:`run` applies the background drivers just before it.  A
+        construction seam like :meth:`_build_fleet`: the scenario runtime
+        (``repro.scenarios``) overrides it to poll one overload plane per
+        link and step one fleet per flow group.  The base body is exactly
+        the classic single-fleet epoch.
         """
         downgrade = (
             self.overload_plane.on_epoch(tick, now)
@@ -863,7 +939,7 @@ class RcbrGateway:
         A controller with ``admit_batch`` (always-admit) takes the whole
         fleet as one vector admission, :meth:`_admit_batch`, which leaves
         every byte of :meth:`state_dict` as the per-call loop of
-        :meth:`_admit_call` would; any other controller takes that loop.
+        :meth:`_offer` would; any other controller takes that loop.
         The batch is exact because:
 
         * the classes are one ``random(n)`` draw on the overload stream,
@@ -888,8 +964,8 @@ class RcbrGateway:
             self._admit_batch(self.config.initial_calls, 0.0)
         else:
             for _ in range(self.config.initial_calls):
-                self._admit_call(0.0)
-        self._schedule_next_arrival()
+                self._offer(0, 0.0)
+        self._schedule_arrival(0)
 
     def run(
         self,
@@ -908,9 +984,10 @@ class RcbrGateway:
         ``snapshot_every`` emits a :class:`ServerSnapshot` at that period
         (rounded to epoch boundaries); the final snapshot at the end of
         the run is always taken.  ``epoch_hook(tick, gateway)`` runs after
-        the heap drain and before the vector step of each epoch; a hook
-        returning a truthy value stops the run *at that epoch boundary*
-        (the tick it saw is not stepped) — the graceful-shutdown path of
+        the heap drain and before the background drivers and the vector
+        step of each epoch; a hook returning a truthy value stops the run
+        *at that epoch boundary* (the tick it saw is not stepped, and its
+        background does not apply) — the graceful-shutdown path of
         ``repro serve``, where the hook writes a final checkpoint before
         the boundary snapshot so a resumed run stays bit-identical to an
         uninterrupted one.
@@ -944,6 +1021,8 @@ class RcbrGateway:
                 next_snapshot += snapshot_every  # type: ignore[operator]
             if epoch_hook is not None and epoch_hook(tick, self):
                 break
+            for background in self.backgrounds:
+                background.apply(tick, now)
             self._step_epoch(tick, now, (tick + 1) * slot)
             completed += 1
         self._next_tick = start_tick + completed
@@ -1005,22 +1084,18 @@ class RcbrGateway:
     def _encode_event_args(self, token_table, token_codes, args_list):
         # The hot callbacks carry only scalars, one event per live call
         # — flatten the whole heap's args into one float64 array (each
-        # event's width fixed by its codec spec; arrivals contribute
-        # zero) so a 1M-call heap pickles as one array, not a million
-        # tuples.  The single C-driven ``fromiter`` over a chain is the
-        # fastest packing measured (≈2× over per-row ``asarray``).
-        # Events without a scalar spec (the rare in-flight batch commit
-        # with its ndarray args) ride in a side dict keyed by position.
-        widths = []
-        generic_codes = []
-        for code, token in enumerate(token_table):
-            spec = type(self).EVENT_ARG_CODECS.get(token)
-            if spec is not None:
-                widths.append(len(spec))
-            else:
-                widths.append(0)
-                if token != "_handle_arrival":
-                    generic_codes.append(code)
+        # event's width fixed by its codec spec) so a 1M-call heap
+        # pickles as one array, not a million tuples.  The single
+        # C-driven ``fromiter`` over a chain is the fastest packing
+        # measured (≈2× over per-row ``asarray``).  Events without a
+        # scalar spec (the rare in-flight batch commit with its ndarray
+        # args) ride in a side dict keyed by position.
+        codecs = type(self).EVENT_ARG_CODECS
+        widths = [len(codecs.get(token, ())) for token in token_table]
+        generic_codes = [
+            code for code, token in enumerate(token_table)
+            if token not in codecs
+        ]
         count = len(args_list)
         per_event = np.asarray(widths, dtype=np.int64)[token_codes]
         generic: Dict[int, tuple] = {}
@@ -1066,9 +1141,6 @@ class RcbrGateway:
                 args_list.append(tuple(generic[index]))
                 continue
             spec = specs[code]
-            if not spec:
-                args_list.append(())
-                continue
             end = offset + len(spec)
             args_list.append(
                 tuple(
@@ -1229,6 +1301,8 @@ class RcbrGateway:
         self._last_reneg_requests = int(state["last_reneg_requests"])  # type: ignore[arg-type]
         self._next_tick = int(state["next_tick"])  # type: ignore[arg-type]
         self._preloaded = bool(state["preloaded"])
+        for background in self.backgrounds:
+            background.sync_to(self._next_tick)
 
     def save(self, path, defer: bool = False) -> Dict[str, object]:
         """Write an atomic, stamped checkpoint of this gateway to ``path``.

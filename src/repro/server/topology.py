@@ -40,10 +40,9 @@ __all__ = [
 class GroupStats:
     """Cumulative per-flow-group lifecycle counters.
 
-    The gateway keeps one per fleet.  The call lifecycle (departures,
-    abandonments, renegotiations) counts into it on every gateway; the
-    classic gateway's setup counts only its totals, so there its
-    ``arrivals``, ``blocked`` and ``admitted`` stay zero.
+    The gateway keeps one per fleet, and every setup and lifecycle step
+    counts into it; the classic service is flow group 0, so there it
+    equals the gateway's totals.
     """
 
     arrivals: int = 0

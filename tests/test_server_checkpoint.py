@@ -363,8 +363,13 @@ class TestStaleness:
     def test_schema_three_payload_is_refused(self, workload, tmp_path):
         # Schema 3 carried one completion event per renegotiation,
         # event keys on a 2**20 stride, and no base group counters.
-        assert CHECKPOINT_SCHEMA == 4
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 3)
+
+    def test_schema_four_payload_is_refused(self, workload, tmp_path):
+        # Schema 4 carried argument-less classic arrival events and the
+        # scenario gateway's applied background rates.
+        assert CHECKPOINT_SCHEMA == 5
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 4)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

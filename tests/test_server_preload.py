@@ -2,7 +2,7 @@
 
 ``RcbrGateway.preload`` installs the initial fleet of an always-admit
 gateway as one vector admission.  Its oracle is the per-call loop of
-``_admit_call`` that every other controller still takes: after either
+``_offer`` that every other controller still takes: after either
 preload the pickled ``state_dict`` must be byte-identical, and so must
 the snapshot fingerprint of the first 96 served epochs.
 """
@@ -56,8 +56,8 @@ def per_call_preload(gateway):
     """The per-call preload, whichever controller the gateway has."""
     gateway._preloaded = True
     for _ in range(gateway.config.initial_calls):
-        gateway._admit_call(0.0)
-    gateway._schedule_next_arrival()
+        gateway._offer(0, 0.0)
+    gateway._schedule_arrival(0)
 
 
 def state_bytes(gateway):
