@@ -98,10 +98,9 @@ class LinkScopedOverloadAgent:
 
     # -- the gateway protocol the policies call -----------------------
     def overload_pressure(self) -> float:
-        capacity = self.link.capacity
-        if capacity <= 0:
-            return 0.0
-        return max(self.link.allocated, self.link.total_demand) / capacity
+        # RcbrLink rejects non-positive capacity, so the division is safe.
+        link = self.link
+        return max(link.allocated, link.total_demand) / link.capacity
 
     def overload_shrink_class(
         self, call_class: int, ratio: float, now: float

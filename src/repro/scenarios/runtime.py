@@ -8,18 +8,22 @@ topology — while a **multi-bottleneck** spec builds
 :class:`~repro.server.fleet.CallFleet` per flow group over per-edge
 :class:`~repro.queueing.link.RcbrLink`s and per-route
 :class:`~repro.signaling.network.SignalingPath`s through a shared
-:class:`~repro.signaling.topology.SignalingNetwork`, aggregated through
-the :mod:`repro.server.topology` stacks.  Both shapes are driven
-through :class:`ScenarioHarness`, so shards, checkpoint/resume,
-overload planes, and MBAC admission work identically on every spec.
+:class:`~repro.signaling.topology.SignalingNetwork`.  Both shapes hold
+their topology as the base gateway's plain lists (fleets, links,
+ports, paths, per-link overload planes), which the base snapshot,
+report, checkpoint and close fold over, and both are driven through
+:class:`ScenarioHarness`, so shards, checkpoint/resume, overload
+planes, and MBAC admission work identically on every spec.
 
-The subclass overrides construction (fleets, links, ports, per-link
-overload planes), the epoch step, route binding, and the admission
-decision; everything else a call goes through — install, readmission,
-the per-group arrival process, renegotiation completion, teardown —
-is the base gateway's, written once over the call's route.  Background
-cross-traffic is one :class:`BackgroundDriver` per link in both
-shapes, held and applied by the base gateway.
+The subclass builds its topology once, in its own construction step
+(:meth:`ScenarioGateway._build_topology`), and overrides the epoch
+step, route binding, and the admission decision; everything else a
+call goes through — install, readmission, the per-group arrival
+process, renegotiation completion, teardown — is the base gateway's,
+written once over the call's route.  Background cross-traffic is one
+:class:`BackgroundDriver` per link in both shapes, held and applied by
+the base gateway.  One function, :func:`network_section`, gives the
+per-link and per-group view of either shape.
 
 Determinism contract.  Four scenario streams are appended to the
 classic six via the SeedSequence spawn-prefix property
@@ -83,18 +87,11 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.server.config import ServerConfig
 from repro.server.gateway import RcbrGateway, build_gateway
 from repro.server.stats import ServerReport
-from repro.server.topology import (
-    CallBinding,
-    FleetStack,
-    GroupStats,
-    LinkStack,
-    PathStack,
-)
+from repro.server.topology import CallBinding, GroupStats
 from repro.signaling.messages import RenegotiationRequest
 from repro.signaling.network import SignalingPath
 from repro.signaling.topology import SignalingNetwork, _edge_key
 from repro.traffic.sources import make_source
-from repro.traffic.trace import SlottedWorkload
 from repro.util.rng import spawn_generators
 from repro.util.slots import GROUP_STRIDE, SlotInterner
 
@@ -139,6 +136,35 @@ def _group_entry(active: int, stats: GroupStats) -> Dict[str, object]:
     return {"active": int(active), **asdict(stats)}
 
 
+def network_section(
+    spec: ScenarioSpec, gateway: RcbrGateway
+) -> Dict[str, object]:
+    """The per-link and per-flow-group view of ``gateway`` serving
+    ``spec``, for either runtime shape: one :func:`_link_entry` per link
+    (with its bottleneck port and overload plane) and one
+    :func:`_group_entry` per flow group, keyed as the spec names them.
+    It is the multi-bottleneck snapshot's ``network`` section and every
+    :class:`ScenarioResult`'s ``links``/``groups``."""
+    links = gateway.links
+    bottlenecks = gateway.ports[-len(links):]
+    return {
+        "links": {
+            f"{link_spec.u}~{link_spec.v}": _link_entry(
+                link, port, gateway.backgrounds, plane
+            )
+            for link_spec, link, port, plane in zip(
+                spec.links, links, bottlenecks, gateway.link_planes
+            )
+        },
+        "groups": {
+            flow.name: _group_entry(fleet.num_active, stats)
+            for flow, fleet, stats in zip(
+                spec.flows, gateway._fleets, gateway.group_stats
+            )
+        },
+    }
+
+
 def scenario_fingerprint(spec: ScenarioSpec) -> str:
     """A stable hash of the spec's *simulation identity*, stamped into
     checkpoints so a resume cannot cross scenarios whose derived
@@ -172,7 +198,7 @@ class ScenarioGateway(RcbrGateway):
         self.spec = spec
         config = ServerConfig(
             capacity=spec.total_capacity,
-            load=0.0,  # arrivals are scheduled per flow group below
+            load=0.0,  # arrival rates are per flow group (_build_topology)
             controller=spec.controller,
             mean_holding=spec.mean_holding,
             abandon_after=spec.abandon_after,
@@ -208,66 +234,67 @@ class ScenarioGateway(RcbrGateway):
             source.sample_workload(spec.source_slots, seed=self._workload_rng)
             for _ in spec.flows
         ]
+        super().__init__(self._group_workloads[0], config, faults=faults)
 
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    def _build_topology(self, path_rng, retry_rng) -> None:
+        """Build the route graph: one fleet per flow group, one link and
+        one switch port per link spec, one background driver per
+        background process, one overload plane per link unless the
+        policy is block, and one Poisson arrival rate per flow group.
+        Signaling paths are created lazily, one per distinct route, on
+        the scenario path stream (the classic ``path_rng``/``retry_rng``
+        go unused)."""
+        spec, config = self.spec, self.config
         graph = nx.Graph()
         for link in spec.links:
             graph.add_edge(link.u, link.v, capacity=link.capacity)
         self.network = SignalingNetwork(graph, seed=0)
-        self._edge_keys = [
-            _edge_key(link.u, link.v) for link in spec.links
+        self._edge_keys = [_edge_key(link.u, link.v) for link in spec.links]
+        #: Canonical edge key -> its link spec's index in link order.
+        self._edge_index = {
+            key: index for index, key in enumerate(self._edge_keys)
+        }
+
+        self._fleets = [
+            self._new_fleet(workload, config, 256)
+            for workload in self._group_workloads
         ]
-        self._edge_capacity = {
-            key: link.capacity
-            for key, link in zip(self._edge_keys, spec.links)
-        }
-        self._edge_delay = {
-            key: link.delay for key, link in zip(self._edge_keys, spec.links)
-        }
-        self._edge_ports = {
-            key: self.network.port_between(link.u, link.v)
-            for key, link in zip(self._edge_keys, spec.links)
-        }
-
-        super().__init__(self._group_workloads[0], config, faults=faults)
-        self.backgrounds = background_drivers(
-            spec, self._edge_ports, self._edge_links
-        )
-
-        # The base class built a single plane over the whole-topology
-        # LinkStack — meaningless pressure.  Replace it with one plane
-        # per bottleneck link, each driving the configured policy over
-        # the calls routed across that link; all planes share the
-        # dedicated link-overload stream, polled in link-spec order.
-        # With the default "block" policy there are no planes and the
-        # epoch sequence (and fingerprint) is unchanged.
-        self.overload_plane = None
-        self._link_planes: List[Tuple[Tuple[str, str], Any]] = []
-        for key in self._edge_keys:
-            policy = policy_for_config(config)
-            if policy is None:
-                break
-            plane = OverloadControlPlane(
-                LinkScopedOverloadAgent(self, key, self._edge_links[key]),
-                policy,
-                enter=config.overload_enter,
-                exit_=config.overload_exit,
-                dwell=config.overload_dwell,
-                num_classes=self.num_classes,
-                rng=self._link_overload_rng,
-            )
-            self._link_planes.append((key, plane))
-
-        # Per-route shared signaling paths, created lazily in call
-        # order; the stack view feeds the base snapshot fields and
-        # recreates the routes on restore via the factory.
+        self.links = [RcbrLink(link.capacity) for link in spec.links]
+        self.ports = [
+            self.network.port_between(link.u, link.v) for link in spec.links
+        ]
+        self.paths: List[SignalingPath] = []
         self._route_paths: Dict[Tuple[str, ...], SignalingPath] = {}
-        self.path = PathStack(  # type: ignore[assignment]
-            self._route_paths, factory=self._path_for_route
-        )
         self._bindings: Dict[int, CallBinding] = {}
         # Call id -> the slot a call holds on every per-edge link, port
         # and path: call ids grow without bound, slots are reused.
         self._net_slots = SlotInterner()
+        self.backgrounds = background_drivers(spec, self.ports, self.links)
+
+        # One plane per bottleneck link, each driving the configured
+        # policy over the calls routed across that link; all planes
+        # share the dedicated link-overload stream, polled in link-spec
+        # order.  With the default "block" policy there are no planes
+        # and the epoch sequence (and fingerprint) is unchanged.
+        self.link_planes = []
+        for key, link in zip(self._edge_keys, self.links):
+            policy = policy_for_config(config)
+            self.link_planes.append(
+                None
+                if policy is None
+                else OverloadControlPlane(
+                    LinkScopedOverloadAgent(self, key, link),
+                    policy,
+                    enter=config.overload_enter,
+                    exit_=config.overload_exit,
+                    dwell=config.overload_dwell,
+                    num_classes=self.num_classes,
+                    rng=self._link_overload_rng,
+                )
+            )
 
         # Per-group Poisson arrival rates against the (k=1) shortest
         # route's bottleneck capacity — the same Erlang identity the
@@ -280,52 +307,34 @@ class ScenarioGateway(RcbrGateway):
             route = self.network.k_shortest_paths(
                 flow.source, flow.target, 1
             )[0]
-            bottleneck = min(
-                self._edge_capacity[_edge_key(u, v)]
-                for u, v in _route_edges(tuple(route))
-            )
             self._arrival_rates.append(
                 arrival_rate_for_load(
                     flow.load,
-                    bottleneck,
+                    self._bottleneck_capacity(
+                        _edge_key(u, v) for u, v in _route_edges(tuple(route))
+                    ),
                     workload.mean_rate,
                     self.mean_holding,
                 )
             )
 
-    # ------------------------------------------------------------------
-    # Construction seams
-    # ------------------------------------------------------------------
-    def _build_fleet(
-        self, workload: SlottedWorkload, config: ServerConfig
-    ) -> FleetStack:
-        return FleetStack(  # type: ignore[return-value]
-            [
-                self._new_fleet(group_workload, config, 256)
-                for group_workload in self._group_workloads
-            ]
+    def _bottleneck_capacity(self, edge_keys) -> float:
+        """The smallest configured capacity among ``edge_keys``."""
+        return min(
+            self.spec.links[self._edge_index[key]].capacity
+            for key in edge_keys
         )
-
-    def _build_link(self, config: ServerConfig) -> LinkStack:
-        self._edge_links = {
-            key: RcbrLink(self._edge_capacity[key])
-            for key in self._edge_keys
-        }
-        return LinkStack(  # type: ignore[return-value]
-            [self._edge_links[key] for key in self._edge_keys],
-            config.capacity,
-        )
-
-    def _build_ports(self, config: ServerConfig):
-        return [self._edge_ports[key] for key in self._edge_keys]
 
     def _path_for_route(self, route: Tuple[str, ...]) -> SignalingPath:
         path = self._route_paths.get(route)
         if path is None:
-            edges = _route_edges(route)
-            delays = [self._edge_delay[_edge_key(u, v)] for u, v in edges]
+            indices = [
+                self._edge_index[_edge_key(u, v)]
+                for u, v in _route_edges(route)
+            ]
+            delays = [self.spec.links[index].delay for index in indices]
             path = SignalingPath(
-                [self._edge_ports[_edge_key(u, v)] for u, v in edges],
+                [self.ports[index] for index in indices],
                 # SignalingPath models one scalar per-hop delay; the
                 # mean preserves the route's total round-trip time
                 # (2 * sum of link delays).
@@ -339,6 +348,7 @@ class ScenarioGateway(RcbrGateway):
                 retry_seed=self._path_rng,
             )
             self._route_paths[route] = path
+            self.paths.append(path)
         return path
 
     # ------------------------------------------------------------------
@@ -377,11 +387,9 @@ class ScenarioGateway(RcbrGateway):
         call_id = next(self._call_ids)
         slot, rate = fleet.admit(call_id, shift, call_class)
         key = group * GROUP_STRIDE + slot
-        self._bind(key, call_id, rate)
+        self._bind(key, call_id)
         vci, _, path, ports = self._route(key, call_id)
-        bottleneck = min(
-            self._edge_capacity[edge] for edge in self._bindings[key].edge_keys
-        )
+        bottleneck = self._bottleneck_capacity(self._bindings[key].edge_keys)
         admitted = self.controller.admit(
             bottleneck, now, call_class=call_class
         ) and path.renegotiate(
@@ -408,19 +416,13 @@ class ScenarioGateway(RcbrGateway):
             key, call_id, rate, holding, call_class, now, provision=False
         )
 
-    def _bind(self, key: int, call_id: int, rate: float) -> None:
-        """Select the entering call's route (``rate`` breaks ties toward
-        feasibility), bind it, and intern the call's network slot."""
+    def _bind(self, key: int, call_id: int) -> None:
+        """Select the entering call's route, bind it, and intern the
+        call's network slot."""
         flow = self.spec.flows[key // GROUP_STRIDE]
         k = flow.route_k if flow.route_k is not None else self.spec.route_k
-        self._bind_route(
-            key,
-            tuple(
-                self.network.select_route(
-                    flow.source, flow.target, k=k, rate_hint=rate
-                )
-            ),
-        )
+        route = self.network.select_route(flow.source, flow.target, k=k)
+        self._bind_route(key, tuple(route))
         self._net_slots.intern(call_id)
 
     def _bind_route(self, key: int, route: Tuple[str, ...]) -> None:
@@ -429,7 +431,9 @@ class ScenarioGateway(RcbrGateway):
             group=key // GROUP_STRIDE,
             route=route,
             path=self._path_for_route(route),
-            links=tuple(self._edge_links[edge] for edge in edge_keys),
+            links=tuple(
+                self.links[self._edge_index[edge]] for edge in edge_keys
+            ),
             edge_keys=edge_keys,
         )
 
@@ -482,11 +486,11 @@ class ScenarioGateway(RcbrGateway):
         (masked to each link's member calls) into per-group columns by
         minimum.  Returns None when no plane asked for a downgrade —
         including always, when the policy is ``block`` (no planes)."""
-        if not self._link_planes:
-            return None
         combined: Optional[List[np.ndarray]] = None
         sizes = [int(fleet.active.size) for fleet in self._fleets]
-        for key, plane in self._link_planes:
+        for key, plane in zip(self._edge_keys, self.link_planes):
+            if plane is None:
+                continue
             factors = plane.on_epoch(tick, now)
             if factors is None:
                 continue
@@ -538,31 +542,16 @@ class ScenarioGateway(RcbrGateway):
     # Observability
     # ------------------------------------------------------------------
     def _network_section(self) -> Dict[str, object]:
-        planes = dict(self._link_planes)
-        links = {
-            f"{link_spec.u}~{link_spec.v}": _link_entry(
-                self._edge_links[key],
-                self._edge_ports[key],
-                self.backgrounds,
-                planes.get(key),
-            )
-            for link_spec, key in zip(self.spec.links, self._edge_keys)
-        }
-        groups = {
-            flow.name: _group_entry(fleet.num_active, stats)
-            for flow, fleet, stats in zip(
-                self.spec.flows, self._fleets, self.group_stats
-            )
-        }
-        return {"links": links, "groups": groups}
+        return network_section(self.spec, self)
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """The base export (the stacks serialize per group/edge/route)
-        plus the scenario-only state: call-route bindings, the two live
-        scenario streams, and the per-link overload planes.
+        """The base export (fleets, links, ports, paths and per-link
+        planes, each in topology order) plus the scenario-only state:
+        the routes in creation order, call-route bindings, network
+        slots and the two live scenario streams.
 
         The workload stream (6) and background stream (7) are consumed
         only during ``__init__`` — a restoring gateway re-draws them
@@ -572,6 +561,7 @@ class ScenarioGateway(RcbrGateway):
         """
         state = super().state_dict()
         state["scenario"] = {
+            "routes": [list(route) for route in self._route_paths],
             "bindings": [
                 [gslot, list(binding.route)]
                 for gslot, binding in self._bindings.items()
@@ -583,18 +573,17 @@ class ScenarioGateway(RcbrGateway):
                     self._link_overload_rng.bit_generator.state
                 ),
             },
-            "link_planes": [
-                plane.state_dict() for _, plane in self._link_planes
-            ],
         }
         return state
 
     def load_state(self, state: Dict[str, object]) -> None:
         scenario = state["scenario"]  # type: ignore[index]
+        # Recreate every route's path in creation order, so the base
+        # restore loads each path's state into the right path and the
+        # bindings below resolve routes back to live paths and links.
+        for route in scenario["routes"]:  # type: ignore[index]
+            self._path_for_route(tuple(route))
         super().load_state(state)
-        # The PathStack restore above recreated every route's path (in
-        # creation order) through the factory; bindings can now resolve
-        # routes back to live paths and links.
         self._bindings = {}
         for key, route in scenario["bindings"]:  # type: ignore[index]
             self._bind_route(int(key), tuple(route))
@@ -604,16 +593,6 @@ class ScenarioGateway(RcbrGateway):
         self._link_overload_rng.bit_generator.state = (
             rng_states["link_overload"]
         )
-        plane_states = scenario["link_planes"]  # type: ignore[index]
-        if len(plane_states) != len(self._link_planes):
-            raise ValueError(
-                f"checkpoint carries {len(plane_states)} link planes, "
-                f"this gateway runs {len(self._link_planes)}"
-            )
-        for (_, plane), plane_state in zip(
-            self._link_planes, plane_states
-        ):
-            plane.load_state(plane_state)
 
 
 # ----------------------------------------------------------------------
@@ -721,12 +700,11 @@ class BackgroundDriver:
 
 
 def background_drivers(
-    spec: ScenarioSpec,
-    ports: Dict[Tuple[str, str], Any],
-    links: Dict[Tuple[str, str], Any],
+    spec: ScenarioSpec, ports: List[Any], links: List[Any]
 ) -> List[BackgroundDriver]:
-    """One driver per background process of ``spec``, over the port and
-    link of its edge (both keyed by canonical edge key).
+    """One driver per background process of ``spec``, over the
+    bottleneck port and link of its edge (``ports`` and ``links`` in
+    link-spec order).
 
     Every series is sampled on stream 7, the scenario background stream
     of both runtime shapes (see the module docstring), in background
@@ -734,13 +712,14 @@ def background_drivers(
     keeps some capacity.
     """
     rng = spawn_generators(spec.seed, _BASE_STREAMS + 2)[_BASE_STREAMS + 1]
-    capacities = {
-        _edge_key(link.u, link.v): link.capacity for link in spec.links
+    index = {
+        _edge_key(link.u, link.v): position
+        for position, link in enumerate(spec.links)
     }
     drivers = []
     for bg in spec.background:
-        key = _edge_key(bg.u, bg.v)
-        capacity = capacities[key]
+        position = index[_edge_key(bg.u, bg.v)]
+        capacity = spec.links[position].capacity
         source = make_source(
             bg.traffic,
             mean_rate=bg.mean_fraction * capacity,
@@ -751,7 +730,11 @@ def background_drivers(
             / spec.slot_duration,
             bg.peak_fraction * capacity,
         )
-        drivers.append(BackgroundDriver(series, capacity, ports[key], links[key]))
+        drivers.append(
+            BackgroundDriver(
+                series, capacity, ports[position], links[position]
+            )
+        )
     return drivers
 
 
@@ -774,12 +757,6 @@ class ScenarioHarness:
         shards: int = 0,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        from repro.server.checkpoint import (
-            checkpoint_code_version,
-            config_fingerprint,
-            workload_fingerprint,
-        )
-
         self.spec = spec
         self.shards = int(shards)
         self._section: Optional[Dict[str, object]] = None
@@ -807,30 +784,18 @@ class ScenarioHarness:
                 mean_rate=spec.mean_rate,
                 slot_duration=spec.slot_duration,
             )
-            self.gateway = build_gateway(
-                None, config, faults=faults, source=source
-            )
-            key = _edge_key(link.u, link.v)
-            self.gateway.backgrounds = background_drivers(
-                spec, {key: self.gateway.ports[-1]}, {key: self.gateway.link}
+            gateway = build_gateway(None, config, faults=faults, source=source)
+            gateway.backgrounds = background_drivers(
+                spec, gateway.ports[-1:], gateway.links
             )
         else:
-            self.gateway = ScenarioGateway(
-                spec, faults=faults, shards=shards
-            )
-        # Stamp checkpoints with the scenario identity up front: two
-        # specs can derive identical configs and workloads (the
-        # dumbbell twins differ only in background structure), and a
-        # resume across them must refuse, not drift.
-        config = self.gateway.config
-        self.gateway._checkpoint_stamps = {
-            "code_version": checkpoint_code_version(),
-            "config_hash": config_fingerprint(config),
-            "workload_hash": workload_fingerprint(self.gateway.workload),
-            "config": config.to_dict(),
-            "scenario_hash": scenario_fingerprint(spec),
-            "scenario": spec.to_dict(),
-        }
+            gateway = ScenarioGateway(spec, faults=faults, shards=shards)
+        # Stamp checkpoints with the scenario identity: two specs can
+        # derive identical configs and workloads (the dumbbell twins
+        # differ only in background structure), and a resume across
+        # them must refuse, not drift.
+        gateway.identity_stamps = {"scenario_hash": scenario_fingerprint(spec)}
+        self.gateway = gateway
 
     def run(
         self,
@@ -848,10 +813,9 @@ class ScenarioHarness:
             ),
             epoch_hook=epoch_hook,
         )
-        if isinstance(self.gateway, ScenarioGateway):
-            # Captured while the gateway is open: sharded fleet columns
-            # live in shared memory that close() unlinks.
-            self._section = self.gateway._network_section()
+        # Captured while the gateway is open: sharded fleet columns
+        # live in shared memory that close() unlinks.
+        self._section = network_section(spec, self.gateway)
         return report
 
     def save(self, path, defer: bool = False) -> Dict[str, Any]:
@@ -861,53 +825,20 @@ class ScenarioHarness:
         self.gateway.checkpoint_sync()
 
     def restore(self, path) -> None:
-        """Resume from a checkpoint of the *same scenario* (spec hash
-        enforced on top of the config/workload/code stamps)."""
-        from repro.server.checkpoint import (
-            read_checkpoint,
-            workload_fingerprint,
-        )
-
-        self.gateway.checkpoint_sync()
-        state = read_checkpoint(
-            path,
-            self.gateway.config,
-            workload_hash=workload_fingerprint(self.gateway.workload),
-            expected_stamps={
-                "scenario_hash": scenario_fingerprint(self.spec)
-            },
-        )
-        self.gateway.load_state(state)
+        """Resume from a checkpoint of the *same scenario* (the gateway
+        enforces the scenario hash on top of the config/workload/code
+        stamps)."""
+        self.gateway.restore(path)
 
     def result(self, report: ServerReport) -> ScenarioResult:
-        spec = self.spec
-        if isinstance(self.gateway, ScenarioGateway):
-            section = self._section
-            if section is None:
-                section = self.gateway._network_section()
-            return ScenarioResult(
-                spec=spec,
-                report=report,
-                groups=section["groups"],  # type: ignore[arg-type]
-                links=section["links"],  # type: ignore[arg-type]
-            )
-        link = spec.links[0]
-        gateway = self.gateway
-        groups = {
-            spec.flows[0].name: _group_entry(
-                report.final.active_calls, gateway.group_stats[0]
-            )
-        }
-        links = {
-            f"{link.u}~{link.v}": _link_entry(
-                gateway.link,
-                gateway.ports[-1],
-                gateway.backgrounds,
-                gateway.overload_plane,
-            )
-        }
+        section = self._section
+        if section is None:
+            section = network_section(self.spec, self.gateway)
         return ScenarioResult(
-            spec=spec, report=report, groups=groups, links=links
+            spec=self.spec,
+            report=report,
+            groups=section["groups"],  # type: ignore[arg-type]
+            links=section["links"],  # type: ignore[arg-type]
         )
 
     def __enter__(self) -> "ScenarioHarness":

@@ -69,7 +69,10 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: 2**32 group stride, and per-group counters in the base export.
 #: Schema 5: arrival events carry their flow group, and the scenario
 #: export drops the applied background rates (re-derived on restore).
-CHECKPOINT_SCHEMA = 5
+#: Schema 6: fleets, links, paths and overload planes are saved as
+#: lists in topology order on both gateway shapes, and the scenario
+#: export carries its route list (paths are recreated from it).
+CHECKPOINT_SCHEMA = 6
 
 
 class CheckpointError(RuntimeError):
@@ -195,9 +198,9 @@ def write_checkpoint(
     deferred write first so the newest checkpoint always wins the
     rename.
     """
-    # Config and workload are immutable for the gateway's lifetime, so
-    # their canonical hashes are computed once and cached on it: a
-    # periodic checkpoint cadence should pay for state, not stamps.
+    # Config, workload and identity stamps are immutable for the
+    # gateway's lifetime, so the stamps are computed once and cached on
+    # it: a periodic checkpoint cadence should pay for state, not stamps.
     stamps = getattr(gateway, "_checkpoint_stamps", None)
     if stamps is None:
         stamps = {
@@ -205,6 +208,7 @@ def write_checkpoint(
             "config_hash": config_fingerprint(gateway.config),
             "workload_hash": workload_fingerprint(gateway.workload),
             "config": gateway.config.to_dict(),
+            **gateway.identity_stamps,
         }
         gateway._checkpoint_stamps = stamps
     meta = {
@@ -281,7 +285,8 @@ def read_checkpoint(
     operator can tell a stale binary from a wrong flag.
 
     ``expected_stamps`` extends the validation to caller-defined stamps
-    (e.g. the scenario hash a :class:`ScenarioHarness` writes): each key
+    (a gateway's ``identity_stamps``, e.g. the scenario hash a
+    :class:`~repro.scenarios.runtime.ScenarioHarness` adds): each key
     must be present in the payload with exactly the expected value, so a
     checkpoint written by a different scenario — or by the plain serve
     loop — is refused even when the derived config hashes collide.

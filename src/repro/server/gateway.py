@@ -42,9 +42,14 @@ and switch ports it reserved on, and the handle it reserved under.
 Heap events address a call by the key ``group * GROUP_STRIDE + slot``;
 the classic service is flow group 0 with the one-link route, and the
 scenario runtime (:mod:`repro.scenarios.runtime`) binds one route per
-call over a topology (:meth:`RcbrGateway._bind`).  The arrival process
-is one Poisson stream per flow group, and background cross-traffic is
-one :class:`~repro.scenarios.runtime.BackgroundDriver` per link, applied
+call over a topology (:meth:`RcbrGateway._bind`).  Either way the
+gateway holds its topology as plain lists — fleets, links, ports,
+signaling paths, per-link overload planes — built once by the shape's
+one construction step (:meth:`RcbrGateway._build_topology`), and the
+snapshot, report, checkpoint and close fold over them in that order.
+The arrival process is one Poisson stream per flow group, and
+background cross-traffic is one
+:class:`~repro.scenarios.runtime.BackgroundDriver` per link, applied
 before every epoch step.
 
 Dual bandwidth authority, by design.  The one setup step the two
@@ -155,6 +160,10 @@ class RcbrGateway:
         "_complete": (int, int, float, bool),
     }
 
+    #: The classic service's whole-gateway overload plane; None under
+    #: the block policy and on a route graph, whose planes are per link.
+    overload_plane: Optional[OverloadControlPlane] = None
+
     def __init__(
         self,
         workload: Optional[SlottedWorkload],
@@ -198,45 +207,18 @@ class RcbrGateway:
         )
 
         self.engine = EventScheduler()
-        self.fleet = self._build_fleet(workload, config)
-        #: The per-group fleets event keys index: a fleet stack's
-        #: groups, or the classic gateway's one fleet.
-        self._fleets = getattr(self.fleet, "fleets", [self.fleet])
-        self.group_stats = [GroupStats() for _ in self._fleets]
-        self.link = self._build_link(config)
-        self.ports = self._build_ports(config)
-
-        self.path = SignalingPath(
-            self.ports,
-            hop_delay=config.hop_delay,
-            seed=path_rng,
-            faults=faults,
-            request_timeout=config.request_timeout,
-            max_retries=config.max_retries,
-            retry_backoff=config.retry_backoff,
-            retry_jitter=config.retry_jitter,
-            retry_seed=retry_rng,
-        )
-
         self.mean_holding = (
             config.mean_holding
             if config.mean_holding is not None
             else workload.duration
         )
-        #: Poisson call-arrival rate per flow group.
-        self._arrival_rates = [
-            0.0
-            if config.load <= 0
-            else arrival_rate_for_load(
-                config.load,
-                config.capacity,
-                workload.mean_rate,
-                self.mean_holding,
-            )
-        ]
         #: Background cross-traffic drivers, applied before every epoch
         #: step (see :class:`repro.scenarios.runtime.BackgroundDriver`).
         self.backgrounds: list = []
+        #: Identity stamps beyond config, workload and code version that
+        #: every checkpoint of this gateway carries and every restore
+        #: requires (the scenario harness adds the scenario hash).
+        self.identity_stamps: Dict[str, object] = {}
 
         self._call_ids = itertools.count()
         self._departure_events: Dict[int, Event] = {}
@@ -257,23 +239,6 @@ class RcbrGateway:
         cdf /= cdf[-1]
         self._class_cdf = cdf.tolist()
         self.offered = OfferedLoadAccountant(self.num_classes)
-
-        # The overload control plane — block means "no plane": the
-        # baseline takes the exact pre-overload code path.
-        policy = policy_for_config(config)
-        self.overload_plane = (
-            OverloadControlPlane(
-                self,
-                policy,
-                enter=config.overload_enter,
-                exit_=config.overload_exit,
-                dwell=config.overload_dwell,
-                num_classes=self.num_classes,
-                rng=self._overload_rng,
-            )
-            if policy is not None
-            else None
-        )
 
         # Cumulative counters (snapshot definitions match
         # repro.admission.callsim.CallCounters).
@@ -297,15 +262,80 @@ class RcbrGateway:
         self._preloaded = False
         self._encode_callback_cache: Dict[object, str] = {}
 
+        # The topology, built once by its shape's own step, which sets
+        # the plain lists the snapshot, report, checkpoint and close
+        # fold over: ``_fleets`` (flow-group order; event keys index
+        # it), ``links`` (link order), ``ports`` (every switch port;
+        # the last ``len(links)`` are the links' bottleneck ports, in
+        # link order), ``paths`` (route-creation order), ``link_planes``
+        # (each link's overload plane, None where none runs) and
+        # ``_arrival_rates`` (one Poisson rate per flow group).
+        self._build_topology(path_rng, retry_rng)
+        self.group_stats = [GroupStats() for _ in self._fleets]
+
     # ------------------------------------------------------------------
-    # Construction seams (overridden by the scenario runtime)
+    # Construction: the one step a topology shape overrides
     # ------------------------------------------------------------------
-    def _build_fleet(
-        self, workload: SlottedWorkload, config: ServerConfig
-    ) -> CallFleet:
-        return self._new_fleet(
-            workload, config, max(256, config.initial_calls)
+    def _build_topology(self, path_rng, retry_rng) -> None:
+        """Build the classic one-link topology: one fleet, one link,
+        ``num_hops`` switch ports, one signaling path over them (on the
+        ``path_rng``/``retry_rng`` streams), one Poisson arrival stream
+        and, unless the policy is block, the whole-gateway overload
+        plane.  The scenario runtime overrides this to build a route
+        graph instead."""
+        config = self.config
+        self.fleet = self._new_fleet(
+            self.workload, config, max(256, config.initial_calls)
         )
+        self.link = RcbrLink(config.capacity)
+        # The last port is the bottleneck (capacity == link capacity);
+        # upstream hops get headroom so the bottleneck stays binding.
+        self.ports = [
+            SwitchPort(
+                config.capacity * config.upstream_headroom,
+                name=f"hop{index}",
+            )
+            for index in range(config.num_hops - 1)
+        ]
+        self.ports.append(SwitchPort(config.capacity, name="bottleneck"))
+        self.path = SignalingPath(
+            self.ports,
+            hop_delay=config.hop_delay,
+            seed=path_rng,
+            faults=self.faults,
+            request_timeout=config.request_timeout,
+            max_retries=config.max_retries,
+            retry_backoff=config.retry_backoff,
+            retry_jitter=config.retry_jitter,
+            retry_seed=retry_rng,
+        )
+        self._fleets = [self.fleet]
+        self.links = [self.link]
+        self.paths = [self.path]
+        self._arrival_rates = [
+            0.0
+            if config.load <= 0
+            else arrival_rate_for_load(
+                config.load,
+                config.capacity,
+                self.workload.mean_rate,
+                self.mean_holding,
+            )
+        ]
+        # Block means "no plane": the baseline takes the exact
+        # pre-overload code path.
+        policy = policy_for_config(config)
+        if policy is not None:
+            self.overload_plane = OverloadControlPlane(
+                self,
+                policy,
+                enter=config.overload_enter,
+                exit_=config.overload_exit,
+                dwell=config.overload_dwell,
+                num_classes=self.num_classes,
+                rng=self._overload_rng,
+            )
+        self.link_planes = [self.overload_plane]
 
     def _new_fleet(
         self,
@@ -331,22 +361,6 @@ class RcbrGateway:
             buffer_size=config.buffer_bits,
             initial_capacity=initial_capacity,
         )
-
-    def _build_link(self, config: ServerConfig) -> RcbrLink:
-        return RcbrLink(config.capacity)
-
-    def _build_ports(self, config: ServerConfig) -> List[SwitchPort]:
-        # The last port is the bottleneck (capacity == link capacity);
-        # upstream hops get headroom so the bottleneck stays binding.
-        ports: List[SwitchPort] = [
-            SwitchPort(
-                config.capacity * config.upstream_headroom,
-                name=f"hop{index}",
-            )
-            for index in range(config.num_hops - 1)
-        ]
-        ports.append(SwitchPort(config.capacity, name="bottleneck"))
-        return ports
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -438,7 +452,7 @@ class RcbrGateway:
         call_id = next(self._call_ids)
         slot, rate = self._fleets[group].admit(call_id, shift, call_class)
         key = group * GROUP_STRIDE + slot
-        self._bind(key, call_id, rate)
+        self._bind(key, call_id)
         return self._install_call(
             key, call_id, rate, remaining, call_class, now, provision=True
         )
@@ -521,9 +535,8 @@ class RcbrGateway:
         call reserves under its pool slot on the one link and path."""
         return key, (self.link,), self.path, self.ports
 
-    def _bind(self, key: int, call_id: int, rate: float) -> None:
-        """Give an entering call its route, ``rate`` its initial rate
-        (the classic route is fixed)."""
+    def _bind(self, key: int, call_id: int) -> None:
+        """Give an entering call its route (the classic route is fixed)."""
 
     def _unbind(self, key: int, call_id: int) -> None:
         """Forget a leaving call's route (the classic route is fixed)."""
@@ -822,11 +835,10 @@ class RcbrGateway:
     def _step_epoch(self, tick: int, now: float, end_of_slot: float) -> None:
         """One data-plane epoch: overload poll, vector step, issue.
 
-        :meth:`run` applies the background drivers just before it.  A
-        construction seam like :meth:`_build_fleet`: the scenario runtime
-        (``repro.scenarios``) overrides it to poll one overload plane per
-        link and step one fleet per flow group.  The base body is exactly
-        the classic single-fleet epoch.
+        :meth:`run` applies the background drivers just before it.  The
+        scenario runtime (``repro.scenarios``) overrides it to poll one
+        overload plane per link and step one fleet per flow group.  The
+        base body is exactly the classic single-fleet epoch.
         """
         downgrade = (
             self.overload_plane.on_epoch(tick, now)
@@ -841,11 +853,15 @@ class RcbrGateway:
     # Observability
     # ------------------------------------------------------------------
     def _take_snapshot(self, time: float) -> ServerSnapshot:
-        self.link.finish(time)
+        # Every fold runs in the topology's fixed list order (see
+        # __init__), so the floats feeding the fingerprint reproduce.
+        links = self.links
+        fleets = self._fleets
+        for link in links:
+            link.finish(time)
+        allocated = sum(link.allocated_bit_seconds for link in links)
         window = time - self._last_snapshot_time
-        allocated_delta = (
-            self.link.allocated_bit_seconds - self._last_allocated_bit_seconds
-        )
+        allocated_delta = allocated - self._last_allocated_bit_seconds
         requests_delta = self.reneg_requests - self._last_reneg_requests
         if window > 0:
             utilization = allocated_delta / (self.config.capacity * window)
@@ -853,7 +869,8 @@ class RcbrGateway:
         else:
             utilization = 0.0
             renegotiation_rate = 0.0
-        stats = self.path.stats
+        stats = [path.stats for path in self.paths]
+        increase_requests = sum(s.increase_requests for s in stats)
         overload = (
             self._overload_section()
             if self.overload_plane is not None
@@ -861,7 +878,7 @@ class RcbrGateway:
         )
         snapshot = ServerSnapshot(
             time=time,
-            active_calls=self.fleet.num_active,
+            active_calls=sum(fleet.num_active for fleet in fleets),
             arrivals=self.arrivals,
             blocked=self.blocked,
             admitted=self.admitted,
@@ -872,25 +889,48 @@ class RcbrGateway:
             reneg_denied=self.reneg_denied,
             injected_denials=self.injected_denials,
             link_shortfalls=self.link_shortfalls,
-            cells_sent=stats.cells_sent,
-            cells_lost=stats.cells_lost,
-            retries=stats.retries,
-            timeouts=stats.timeouts,
-            signaling_failure_fraction=stats.failure_fraction,
-            bits_lost_overflow=self.fleet.bits_lost,
-            bits_lost_link=self.link.lost_bits,
+            cells_sent=sum(s.cells_sent for s in stats),
+            cells_lost=sum(s.cells_lost for s in stats),
+            retries=sum(s.retries for s in stats),
+            timeouts=sum(s.timeouts for s in stats),
+            signaling_failure_fraction=(
+                sum(s.failures for s in stats) / increase_requests
+                if increase_requests
+                else 0.0
+            ),
+            bits_lost_overflow=sum(fleet.bits_lost for fleet in fleets),
+            bits_lost_link=sum(link.lost_bits for link in links),
             utilization=utilization,
             renegotiation_rate=renegotiation_rate,
-            buffer_bits=self.fleet.total_buffered_bits(),
-            reserved_rate=self.fleet.total_reserved_rate(),
+            buffer_bits=sum(fleet.total_buffered_bits() for fleet in fleets),
+            reserved_rate=sum(
+                fleet.total_reserved_rate() for fleet in fleets
+            ),
             overload=overload,
             network=self._network_section(),
         )
         self.snapshots.append(snapshot)
         self._last_snapshot_time = time
-        self._last_allocated_bit_seconds = self.link.allocated_bit_seconds
+        self._last_allocated_bit_seconds = allocated
         self._last_reneg_requests = self.reneg_requests
         return snapshot
+
+    def _mean_utilization(self, horizon: float) -> float:
+        """Time-average fraction of deliverable capacity reserved, up to
+        ``horizon``.  One link reports its own
+        :meth:`~repro.queueing.link.RcbrLink.mean_utilization`; several
+        fold allocated over deliverable bit-seconds in link order."""
+        if len(self.links) == 1:
+            return self.links[0].mean_utilization(horizon)
+        delivered = sum(
+            link.delivered_bit_seconds
+            + link.capacity * max(0.0, horizon - link.now)
+            for link in self.links
+        )
+        if delivered <= 0:
+            return 0.0
+        allocated = sum(link.allocated_bit_seconds for link in self.links)
+        return allocated / delivered
 
     def _network_section(self) -> Optional[Dict[str, object]]:
         """The fingerprinted multi-bottleneck payload (per-link and
@@ -1037,9 +1077,13 @@ class RcbrGateway:
             final=final,
             snapshots=list(self.snapshots),
             fingerprint=snapshot_fingerprint(self.snapshots),
-            peak_active=self.fleet.peak_active,
-            call_epochs_stepped=self.fleet.call_epochs_stepped,
-            mean_utilization=self.link.mean_utilization(end_time),
+            # Per-group peaks summed: an upper bound on the concurrent
+            # peak of a multi-group topology (the report gauge only).
+            peak_active=sum(fleet.peak_active for fleet in self._fleets),
+            call_epochs_stepped=sum(
+                fleet.call_epochs_stepped for fleet in self._fleets
+            ),
+            mean_utilization=self._mean_utilization(end_time),
             overload=(
                 dict(
                     self._overload_section(),
@@ -1175,20 +1219,19 @@ class RcbrGateway:
             "engine": self.engine.state_dict(
                 self._encode_callback, self._encode_event_args
             ),
-            "fleet": self.fleet.state_dict(),
-            "link": self.link.state_dict(),
+            "fleets": [fleet.state_dict() for fleet in self._fleets],
+            "links": [link.state_dict() for link in self.links],
             "ports": [port.state_dict() for port in self.ports],
-            "path": self.path.state_dict(),
+            "paths": [path.state_dict() for path in self.paths],
             "faults": (
                 self.faults.state_dict() if self.faults is not None else None
             ),
             "controller": self.controller,
             "offered": self.offered,
-            "overload_plane": (
-                self.overload_plane.state_dict()
-                if self.overload_plane is not None
-                else None
-            ),
+            "link_planes": [
+                plane.state_dict() if plane is not None else None
+                for plane in self.link_planes
+            ],
             "rng": {
                 "arrival": self._arrival_rng.bit_generator.state,
                 "call": self._call_rng.bit_generator.state,
@@ -1235,17 +1278,20 @@ class RcbrGateway:
         method only replays the mutable state.  Restoring into a
         gateway that has already served traffic is unsupported.
         """
-        self.fleet.load_state(state["fleet"])
-        self.link.load_state(state["link"])
-        port_states = state["ports"]
-        if len(port_states) != len(self.ports):  # type: ignore[arg-type]
-            raise ValueError(
-                f"checkpoint has {len(port_states)} ports, "  # type: ignore[arg-type]
-                f"gateway has {len(self.ports)}"
-            )
-        for port, port_state in zip(self.ports, port_states):  # type: ignore[arg-type]
-            port.load_state(port_state)
-        self.path.load_state(state["path"])
+        for kind, parts in (
+            ("fleets", self._fleets),
+            ("links", self.links),
+            ("ports", self.ports),
+            ("paths", self.paths),
+        ):
+            states: list = state[kind]  # type: ignore[assignment]
+            if len(states) != len(parts):
+                raise ValueError(
+                    f"checkpoint has {len(states)} {kind}, "
+                    f"gateway has {len(parts)}"
+                )
+            for part, part_state in zip(parts, states):
+                part.load_state(part_state)
         faults_state = state["faults"]
         if (faults_state is None) != (self.faults is None):
             raise ValueError(
@@ -1255,13 +1301,16 @@ class RcbrGateway:
             self.faults.load_state(faults_state)  # type: ignore[arg-type]
         self.controller = state["controller"]  # type: ignore[assignment]
         self.offered = state["offered"]  # type: ignore[assignment]
-        plane_state = state["overload_plane"]
-        if (plane_state is None) != (self.overload_plane is None):
+        plane_states: list = state["link_planes"]  # type: ignore[assignment]
+        if [plane is None for plane in plane_states] != [
+            plane is None for plane in self.link_planes
+        ]:
             raise ValueError(
-                "checkpoint and gateway disagree about the overload plane"
+                "checkpoint and gateway disagree about the overload planes"
             )
-        if self.overload_plane is not None:
-            self.overload_plane.load_state(plane_state)  # type: ignore[arg-type]
+        for plane, plane_state in zip(self.link_planes, plane_states):
+            if plane is not None:
+                plane.load_state(plane_state)
         rng_states = state["rng"]
         self._arrival_rng.bit_generator.state = rng_states["arrival"]  # type: ignore[index]
         self._call_rng.bit_generator.state = rng_states["call"]  # type: ignore[index]
@@ -1338,21 +1387,26 @@ class RcbrGateway:
         the trace is built outside the config), by the *same code
         version* (enforced by version stamp); mismatches raise
         :class:`repro.server.checkpoint.StaleCheckpointError` rather
-        than resuming a run that could not be bit-exact.
+        than resuming a run that could not be bit-exact.  Every extra
+        stamp in :attr:`identity_stamps` must match too.
         """
         from repro.server.checkpoint import read_checkpoint, workload_fingerprint
 
         # A deferred write to this very path may still be in flight.
         self.checkpoint_sync()
         state = read_checkpoint(
-            path, self.config, workload_hash=workload_fingerprint(self.workload)
+            path,
+            self.config,
+            workload_hash=workload_fingerprint(self.workload),
+            expected_stamps=self.identity_stamps,
         )
         self.load_state(state)
 
     def close(self) -> None:
         """Release external resources (a sharded fleet's worker pool
         and shared memory).  Idempotent."""
-        self.fleet.close()
+        for fleet in self._fleets:
+            fleet.close()
 
     def __enter__(self) -> "RcbrGateway":
         return self

@@ -97,33 +97,27 @@ class SignalingNetwork:
         generator = nx.shortest_simple_paths(self.graph, source, target)
         return list(itertools.islice(generator, k))
 
-    def select_route(
-        self, source, target, k: int = 1, rate_hint: float = 0.0
-    ) -> List:
+    def select_route(self, source, target, k: int = 1) -> List:
         """Pick the candidate route with the most bottleneck headroom.
 
         ``k = 1`` is plain shortest-path routing; larger ``k`` enables
-        the call-level load balancing of Section III-C.  ``rate_hint``
-        (the call's initial rate) breaks ties toward feasibility.
+        the call-level load balancing of Section III-C.  Ties go to the
+        shorter route.  The choice does not depend on the call's rate:
+        when no candidate has room for it, the per-hop admission check
+        on the chosen route denies.
         """
         candidates = self.k_shortest_paths(source, target, k)
 
         def bottleneck(path) -> float:
             return min(port.headroom for port in self._path_ports(path))
 
-        best = max(candidates, key=bottleneck)
-        if rate_hint > 0.0 and bottleneck(best) < rate_hint:
-            # No candidate fits outright; still return the best one — the
-            # per-hop admission check will deny honestly.
-            pass
-        return best
+        return max(candidates, key=bottleneck)
 
     def attach(
         self,
         source,
         target,
         k: int = 1,
-        rate_hint: float = 0.0,
         cell_loss_probability: float = 0.0,
         faults=None,
         request_timeout: Optional[float] = None,
@@ -136,7 +130,7 @@ class SignalingNetwork:
         signaling behaviour; the defaults reproduce the paper's fragile
         fire-and-forget cells.
         """
-        route = self.select_route(source, target, k, rate_hint)
+        route = self.select_route(source, target, k)
         return SignalingPath(
             self._path_ports(route),
             hop_delay=self.hop_delay,
@@ -211,7 +205,6 @@ def simulate_calls_on_network(
             source,
             target,
             k=k,
-            rate_hint=initial,
             faults=faults,
             max_retries=max_retries,
         )

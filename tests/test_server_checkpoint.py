@@ -368,8 +368,14 @@ class TestStaleness:
     def test_schema_four_payload_is_refused(self, workload, tmp_path):
         # Schema 4 carried argument-less classic arrival events and the
         # scenario gateway's applied background rates.
-        assert CHECKPOINT_SCHEMA == 5
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 4)
+
+    def test_schema_five_payload_is_refused(self, workload, tmp_path):
+        # Schema 5 saved the classic gateway's one fleet, link and path
+        # unwrapped, the scenario gateway's as stack exports, and the
+        # per-link overload planes in the scenario section.
+        assert CHECKPOINT_SCHEMA == 6
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 5)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

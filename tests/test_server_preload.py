@@ -106,8 +106,8 @@ class TestBatchPreloadEquivalence:
 
     def test_pool_growth(self, workload):
         class SmallPoolGateway(RcbrGateway):
-            def _build_fleet(self, workload, config):
-                return self._new_fleet(workload, config, 3)
+            def _new_fleet(self, workload, config, initial_capacity):
+                return super()._new_fleet(workload, config, 3)
 
         cfg = config(workload, calls=150)
         assert_preloads_match(lambda: SmallPoolGateway(workload, cfg))
