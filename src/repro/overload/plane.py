@@ -64,8 +64,9 @@ class OverloadControlPlane:
         self._below = 0
 
     def pressure(self) -> float:
-        link = self.gateway.link
-        return max(link.allocated, link.total_demand) / link.capacity
+        """The watched link's pressure, as the gateway (or per-link
+        agent) reports it: max(allocated, demand) / capacity."""
+        return self.gateway.overload_pressure()
 
     def on_epoch(self, tick: int, now: float) -> Optional[np.ndarray]:
         """One hysteresis update + one policy decision; returns the

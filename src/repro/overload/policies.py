@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.recovery import downgrade_rungs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (gateway imports us)
     from repro.server.gateway import RcbrGateway
@@ -170,14 +169,6 @@ class DowngradePolicy(OverloadPolicy):
         super().bind(gateway, num_classes, rng, enter, exit_)
         self.levels = [0] * self._num_classes
         self._factors = np.ones(self._num_classes)
-
-    @staticmethod
-    def rungs_between(
-        candidate: float, current: float, quantize, max_steps: int
-    ) -> Tuple[float, ...]:
-        """The per-call restore ladder (shared with the source-side
-        :class:`repro.faults.recovery.DowngradeLadderPolicy`)."""
-        return downgrade_rungs(candidate, current, quantize, max_steps)
 
     def _due(self, tick: int) -> bool:
         return (

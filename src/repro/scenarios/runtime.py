@@ -17,13 +17,14 @@ planes, and MBAC admission work identically on every spec.
 
 The subclass builds its topology once, in its own construction step
 (:meth:`ScenarioGateway._build_topology`), and overrides the epoch
-step, route binding, and the admission decision; everything else a
-call goes through — install, readmission, the per-group arrival
-process, renegotiation completion, teardown — is the base gateway's,
-written once over the call's route.  Background cross-traffic is one
-:class:`BackgroundDriver` per link in both shapes, held and applied by
-the base gateway.  One function, :func:`network_section`, gives the
-per-link and per-group view of either shape.
+step and route selection and binding; everything else a call goes
+through — the admission decision, install, preload, readmission, the
+per-group arrival process, renegotiation completion, teardown — is the
+base gateway's, written once over the call's shared route record.
+Background cross-traffic is one :class:`BackgroundDriver` per link in
+both shapes, held and applied by the base gateway.  One function,
+:func:`network_section`, gives the per-link and per-group view of
+either shape.
 
 Determinism contract.  Four scenario streams are appended to the
 classic six via the SeedSequence spawn-prefix property
@@ -32,9 +33,10 @@ stream 6 samples the per-group workloads in flow order, stream 7 the
 background series in background order, stream 8 seeds route signaling
 paths (one shared generator threaded through every route path), and
 stream 9 drives the per-link overload planes, polled in link-spec
-order each epoch.  Per offered call the draw order is fixed: service
-class (overload stream), then workload shift (call stream), then —
-only if admitted — holding time (call stream).  Per epoch the merge
+order each epoch.  Per offered call the draw order is the classic
+one: service class (overload stream), route choice, the admission
+decision, then workload shift (call stream), then — only if admitted —
+holding time (call stream).  Per epoch the merge
 order is: background capacity updates in background order, then the
 per-link overload planes in link-spec order, then one fleet step per
 flow group in flow order, renegotiations issuing in ascending
@@ -43,14 +45,15 @@ by ``group * GROUP_STRIDE + slot``.  Same seed (and fault seed) =>
 bit-identical snapshot stream for shards ∈ {0, 1, N}, and
 ``run(T1); save; restore; run(T2)`` equals ``run(T1 + T2)``.
 
-The admission decision, :meth:`ScenarioGateway._offer`, is the one
-setup step that differs from the classic runtime, by design: a call's
-initial rate travels its route as a real reservation
+The setup transport is the one call-setup difference from the classic
+runtime, by design, and it is topology data (``_setup_travels``): a
+call's initial rate travels its route as a real reservation
 (``path.renegotiate`` from rate 0), so a hop without headroom *blocks*
 the call — on a network, admission is the ports' decision, which is
 exactly the back-pressure the multi-hop experiments measure.  An MBAC
-controller composes with that: it vets the call against its route's
-bottleneck capacity *before* the setup reservation travels.
+controller composes with that: the one
+:meth:`~repro.server.gateway.RcbrGateway._offer` vets the call against
+its route's bottleneck capacity *before* the setup travels.
 Renegotiations then travel the same path under faults, and granted
 rates are mirrored onto every traversed link (taking the minimum
 grant, equalizing over-grants down), so per-link utilization and loss
@@ -87,8 +90,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.server.config import ServerConfig
 from repro.server.gateway import RcbrGateway, build_gateway
 from repro.server.stats import ServerReport
-from repro.server.topology import CallBinding, GroupStats
-from repro.signaling.messages import RenegotiationRequest
+from repro.server.topology import GroupStats, Route
 from repro.signaling.network import SignalingPath
 from repro.signaling.topology import SignalingNetwork, _edge_key
 from repro.traffic.sources import make_source
@@ -243,10 +245,11 @@ class ScenarioGateway(RcbrGateway):
         """Build the route graph: one fleet per flow group, one link and
         one switch port per link spec, one background driver per
         background process, one overload plane per link unless the
-        policy is block, and one Poisson arrival rate per flow group.
-        Signaling paths are created lazily, one per distinct route, on
-        the scenario path stream (the classic ``path_rng``/``retry_rng``
-        go unused)."""
+        policy is block, and one Poisson arrival rate and initial-call
+        count per flow group.  Every call's setup travels its route.
+        Route records are created lazily, one per distinct route, each
+        with its signaling path on the scenario path stream (the
+        classic ``path_rng``/``retry_rng`` go unused)."""
         spec, config = self.spec, self.config
         graph = nx.Graph()
         for link in spec.links:
@@ -266,13 +269,17 @@ class ScenarioGateway(RcbrGateway):
         self.ports = [
             self.network.port_between(link.u, link.v) for link in spec.links
         ]
-        self.paths: List[SignalingPath] = []
-        self._route_paths: Dict[Tuple[str, ...], SignalingPath] = {}
-        self._bindings: Dict[int, CallBinding] = {}
+        self.routes: List[Route] = []
+        #: Route nodes -> its shared record (creation order).
+        self._route_index: Dict[Tuple[str, ...], Route] = {}
+        #: Event key -> the route record a live call is bound to.
+        self._bindings: Dict[int, Route] = {}
         # Call id -> the slot a call holds on every per-edge link, port
         # and path: call ids grow without bound, slots are reused.
         self._net_slots = SlotInterner()
         self.backgrounds = background_drivers(spec, self.ports, self.links)
+        self._setup_travels = True
+        self._initial_calls = [flow.initial_calls for flow in spec.flows]
 
         # One plane per bottleneck link, each driving the configured
         # policy over the calls routed across that link; all planes
@@ -310,28 +317,26 @@ class ScenarioGateway(RcbrGateway):
             self._arrival_rates.append(
                 arrival_rate_for_load(
                     flow.load,
-                    self._bottleneck_capacity(
-                        _edge_key(u, v) for u, v in _route_edges(tuple(route))
-                    ),
+                    self._bottleneck_capacity(route),
                     workload.mean_rate,
                     self.mean_holding,
                 )
             )
 
-    def _bottleneck_capacity(self, edge_keys) -> float:
-        """The smallest configured capacity among ``edge_keys``."""
+    def _bottleneck_capacity(self, nodes) -> float:
+        """The smallest configured link capacity along route ``nodes``."""
         return min(
-            self.spec.links[self._edge_index[key]].capacity
-            for key in edge_keys
+            self.spec.links[self._edge_index[_edge_key(u, v)]].capacity
+            for u, v in _route_edges(nodes)
         )
 
-    def _path_for_route(self, route: Tuple[str, ...]) -> SignalingPath:
-        path = self._route_paths.get(route)
-        if path is None:
-            indices = [
-                self._edge_index[_edge_key(u, v)]
-                for u, v in _route_edges(route)
-            ]
+    def _route_for(self, nodes: Tuple[str, ...]) -> Route:
+        """The shared record of the route through ``nodes``, created on
+        first use with its signaling path on the scenario path stream."""
+        route = self._route_index.get(nodes)
+        if route is None:
+            edge_keys = tuple(_edge_key(u, v) for u, v in _route_edges(nodes))
+            indices = [self._edge_index[edge] for edge in edge_keys]
             delays = [self.spec.links[index].delay for index in indices]
             path = SignalingPath(
                 [self.ports[index] for index in indices],
@@ -347,109 +352,48 @@ class ScenarioGateway(RcbrGateway):
                 retry_jitter=self.config.retry_jitter,
                 retry_seed=self._path_rng,
             )
-            self._route_paths[route] = path
-            self.paths.append(path)
-        return path
-
-    # ------------------------------------------------------------------
-    # Call setup
-    # ------------------------------------------------------------------
-    def preload(self) -> None:
-        """Offer every flow group's initial calls one by one (setup is
-        route signaling, so there is no batch admission), then arm one
-        arrival process per group."""
-        if self._preloaded:
-            return
-        self._preloaded = True
-        for group, flow in enumerate(self.spec.flows):
-            for _ in range(flow.initial_calls):
-                self._offer(group, 0.0)
-        for group in range(len(self.spec.flows)):
-            self._schedule_arrival(group)
-
-    def _offer(self, group: int, now: float) -> Optional[int]:
-        """Offer one call to ``group``; admission is route setup.
-
-        Unlike the classic decision, the workload shift is drawn before
-        it, and the initial reservation travels the bound route for
-        real: any hop without headroom denies (and rolls back upstream
-        commits), blocking the call.
-        """
-        stats = self.group_stats[group]
-        fleet = self._fleets[group]
-        self.arrivals += 1
-        stats.arrivals += 1
-        call_class = self._draw_class()
-        self.offered.on_arrival(call_class)
-        shift = int(
-            self._call_rng.integers(self._group_workloads[group].num_slots)
-        )
-        call_id = next(self._call_ids)
-        slot, rate = fleet.admit(call_id, shift, call_class)
-        key = group * GROUP_STRIDE + slot
-        self._bind(key, call_id)
-        vci, _, path, ports = self._route(key, call_id)
-        bottleneck = self._bottleneck_capacity(self._bindings[key].edge_keys)
-        admitted = self.controller.admit(
-            bottleneck, now, call_class=call_class
-        ) and path.renegotiate(
-            RenegotiationRequest(
-                vci=vci, old_rate=0.0, new_rate=rate, time=now
+            route = Route(
+                links=tuple(self.links[index] for index in indices),
+                path=path,
+                ports=tuple(path.ports),
+                capacity=self._bottleneck_capacity(nodes),
+                nodes=nodes,
+                edge_keys=edge_keys,
             )
-        )
-        if not admitted:
-            if any(port.rate_of(vci) for port in ports):
-                # A setup cell lost after upstream hops committed leaves
-                # them holding its rate (drift no teardown repairs);
-                # that slot stays out of reuse so no later call
-                # inherits the stale reservation.
-                del self._bindings[key]
-            else:
-                self._unbind(key, call_id)
-            fleet.remove(slot)
-            self.blocked += 1
-            stats.blocked += 1
-            self.offered.on_blocked(call_class)
-            return None
-        holding = float(self._call_rng.exponential(self.mean_holding))
-        return self._install_call(
-            key, call_id, rate, holding, call_class, now, provision=False
-        )
+            self._route_index[nodes] = route
+            self.routes.append(route)
+        return route
 
-    def _bind(self, key: int, call_id: int) -> None:
-        """Select the entering call's route, bind it, and intern the
-        call's network slot."""
-        flow = self.spec.flows[key // GROUP_STRIDE]
+    # ------------------------------------------------------------------
+    # Route selection and binding
+    # ------------------------------------------------------------------
+    def _select_route(self, group: int) -> Route:
+        """Choose the entering call's route among its flow's ``k``
+        shortest (the one with the most bottleneck headroom)."""
+        flow = self.spec.flows[group]
         k = flow.route_k if flow.route_k is not None else self.spec.route_k
-        route = self.network.select_route(flow.source, flow.target, k=k)
-        self._bind_route(key, tuple(route))
-        self._net_slots.intern(call_id)
+        nodes = self.network.select_route(flow.source, flow.target, k=k)
+        return self._route_for(tuple(nodes))
 
-    def _bind_route(self, key: int, route: Tuple[str, ...]) -> None:
-        edge_keys = tuple(_edge_key(u, v) for u, v in _route_edges(route))
-        self._bindings[key] = CallBinding(
-            group=key // GROUP_STRIDE,
-            route=route,
-            path=self._path_for_route(route),
-            links=tuple(
-                self.links[self._edge_index[edge]] for edge in edge_keys
-            ),
-            edge_keys=edge_keys,
-        )
+    def _bind(self, key: int, call_id: int, route: Route) -> None:
+        """Bind the call to ``route`` and intern its network slot."""
+        self._bindings[key] = route
+        self._net_slots.intern(call_id)
 
     def _route(self, key: int, call_id: int):
         """A routed call reserves under its network slot on its route."""
-        binding = self._bindings[key]
+        route = self._bindings[key]
         return (
             self._net_slots.slot_of[call_id],
-            binding.links,
-            binding.path,
-            binding.path.ports,
+            route.links,
+            route.path,
+            route.ports,
         )
 
-    def _unbind(self, key: int, call_id: int) -> None:
+    def _unbind(self, key: int, call_id: int, reuse: bool = True) -> None:
         del self._bindings[key]
-        self._net_slots.release(call_id)
+        if reuse:
+            self._net_slots.release(call_id)
 
     # ------------------------------------------------------------------
     # Per-link overload protocol (driven by LinkScopedOverloadAgent)
@@ -460,8 +404,8 @@ class ScenarioGateway(RcbrGateway):
         sizes = [int(fleet.active.size) for fleet in self._fleets]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         mask = np.zeros(int(offsets[-1]), dtype=bool)
-        for gslot, binding in self._bindings.items():
-            if key in binding.edge_keys:
+        for gslot, route in self._bindings.items():
+            if key in route.edge_keys:
                 group, slot = divmod(gslot, GROUP_STRIDE)
                 mask[int(offsets[group]) + slot] = True
         return mask
@@ -561,10 +505,10 @@ class ScenarioGateway(RcbrGateway):
         """
         state = super().state_dict()
         state["scenario"] = {
-            "routes": [list(route) for route in self._route_paths],
+            "routes": [list(route.nodes) for route in self.routes],
             "bindings": [
-                [gslot, list(binding.route)]
-                for gslot, binding in self._bindings.items()
+                [gslot, list(route.nodes)]
+                for gslot, route in self._bindings.items()
             ],
             "net_slots": self._net_slots.state_dict(),
             "rng": {
@@ -578,15 +522,16 @@ class ScenarioGateway(RcbrGateway):
 
     def load_state(self, state: Dict[str, object]) -> None:
         scenario = state["scenario"]  # type: ignore[index]
-        # Recreate every route's path in creation order, so the base
+        # Recreate every route record in creation order, so the base
         # restore loads each path's state into the right path and the
-        # bindings below resolve routes back to live paths and links.
-        for route in scenario["routes"]:  # type: ignore[index]
-            self._path_for_route(tuple(route))
+        # bindings below resolve back to the live records.
+        for nodes in scenario["routes"]:  # type: ignore[index]
+            self._route_for(tuple(nodes))
         super().load_state(state)
-        self._bindings = {}
-        for key, route in scenario["bindings"]:  # type: ignore[index]
-            self._bind_route(int(key), tuple(route))
+        self._bindings = {
+            int(key): self._route_index[tuple(nodes)]
+            for key, nodes in scenario["bindings"]  # type: ignore[index]
+        }
         self._net_slots.load_state(scenario["net_slots"])  # type: ignore[index]
         rng_states = scenario["rng"]  # type: ignore[index]
         self._path_rng.bit_generator.state = rng_states["path"]

@@ -72,7 +72,10 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: Schema 6: fleets, links, paths and overload planes are saved as
 #: lists in topology order on both gateway shapes, and the scenario
 #: export carries its route list (paths are recreated from it).
-CHECKPOINT_SCHEMA = 6
+#: Schema 7: every topology decides admission before drawing a call's
+#: workload shift, so a measurement-based multi-bottleneck run's call
+#: stream and call ids differ from a schema-6 run of the same seed.
+CHECKPOINT_SCHEMA = 7
 
 
 class CheckpointError(RuntimeError):

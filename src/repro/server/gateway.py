@@ -35,28 +35,30 @@ reserve at the link, ports and path under their pool slot, so the link
 and ports are flat columns.  ``config.shards`` chooses only where step
 2 runs: inline (0) or on a worker pool (:mod:`repro.server.sharded`).
 
-The per-call control plane — install, readmission, completion,
-teardown, abandonment, eviction and shrink — is written once, over a
-call's *route* (:meth:`RcbrGateway._route`): the links, signaling path
-and switch ports it reserved on, and the handle it reserved under.
-Heap events address a call by the key ``group * GROUP_STRIDE + slot``;
-the classic service is flow group 0 with the one-link route, and the
-scenario runtime (:mod:`repro.scenarios.runtime`) binds one route per
-call over a topology (:meth:`RcbrGateway._bind`).  Either way the
-gateway holds its topology as plain lists — fleets, links, ports,
-signaling paths, per-link overload planes — built once by the shape's
-one construction step (:meth:`RcbrGateway._build_topology`), and the
-snapshot, report, checkpoint and close fold over them in that order.
-The arrival process is one Poisson stream per flow group, and
-background cross-traffic is one
-:class:`~repro.scenarios.runtime.BackgroundDriver` per link, applied
-before every epoch step.
+The per-call control plane — admission, install, readmission,
+completion, teardown, abandonment, eviction and shrink — is written
+once, over a call's shared :class:`~repro.server.topology.Route`: the
+links, signaling path and switch ports it reserves on and the
+bottleneck capacity the CAC decides against.  Heap events address a
+call by the key ``group * GROUP_STRIDE + slot``; the classic service
+is flow group 0 with the one-link route, and the scenario runtime
+(:mod:`repro.scenarios.runtime`) selects one route per call over a
+topology (:meth:`RcbrGateway._select_route`).  Either way the gateway
+holds its topology as plain lists — fleets, links, ports, routes,
+per-link overload planes — built once by the shape's one construction
+step (:meth:`RcbrGateway._build_topology`), and the snapshot, report,
+checkpoint and close fold over them in that order.  The arrival process
+is one Poisson stream per flow group, and background cross-traffic is
+one :class:`~repro.scenarios.runtime.BackgroundDriver` per link,
+applied before every epoch step.
 
-Dual bandwidth authority, by design.  The one setup step the two
-gateways write differently is the admission decision,
-:meth:`RcbrGateway._offer`.  Here the CAC decides, and the accepted
-call's setup provisions the switch ports directly (admission is the
-CAC's decision, not the ER fast path's — and it mirrors
+Dual bandwidth authority, by design.  Every call takes one admission
+decision, :meth:`RcbrGateway._offer`, drawing class, route, CAC
+verdict, workload shift and — only if admitted — holding time in that
+order on both shapes; the setup transport is the one difference, and
+it is topology data.  Here the accepted call's setup provisions the
+switch ports directly (admission is the CAC's decision, not the ER fast
+path's — and it mirrors
 :mod:`repro.admission.callsim`, which models no setup signaling); on a
 route graph the setup reservation travels the route instead.
 Renegotiations travel the path under faults.  Lost decreases,
@@ -123,7 +125,7 @@ from repro.server.stats import (
     ServerSnapshot,
     snapshot_fingerprint,
 )
-from repro.server.topology import GroupStats
+from repro.server.topology import GroupStats, Route
 from repro.signaling.messages import RenegotiationRequest
 from repro.signaling.network import SignalingPath
 from repro.signaling.switch import SwitchPort
@@ -267,9 +269,10 @@ class RcbrGateway:
         # fold over: ``_fleets`` (flow-group order; event keys index
         # it), ``links`` (link order), ``ports`` (every switch port;
         # the last ``len(links)`` are the links' bottleneck ports, in
-        # link order), ``paths`` (route-creation order), ``link_planes``
-        # (each link's overload plane, None where none runs) and
-        # ``_arrival_rates`` (one Poisson rate per flow group).
+        # link order), ``routes`` (creation order), ``link_planes``
+        # (each link's overload plane, None where none runs),
+        # ``_arrival_rates`` and ``_initial_calls`` (per flow group)
+        # and ``_setup_travels`` (see :meth:`_offer`).
         self._build_topology(path_rng, retry_rng)
         self.group_stats = [GroupStats() for _ in self._fleets]
 
@@ -279,10 +282,11 @@ class RcbrGateway:
     def _build_topology(self, path_rng, retry_rng) -> None:
         """Build the classic one-link topology: one fleet, one link,
         ``num_hops`` switch ports, one signaling path over them (on the
-        ``path_rng``/``retry_rng`` streams), one Poisson arrival stream
-        and, unless the policy is block, the whole-gateway overload
-        plane.  The scenario runtime overrides this to build a route
-        graph instead."""
+        ``path_rng``/``retry_rng`` streams), the one route over them
+        (capacity ``config.capacity``; setup does not travel it), one
+        Poisson arrival stream and, unless the policy is block, the
+        whole-gateway overload plane.  The scenario runtime overrides
+        this to build a route graph instead."""
         config = self.config
         self.fleet = self._new_fleet(
             self.workload, config, max(256, config.initial_calls)
@@ -311,7 +315,16 @@ class RcbrGateway:
         )
         self._fleets = [self.fleet]
         self.links = [self.link]
-        self.paths = [self.path]
+        self.routes = [
+            Route(
+                links=(self.link,),
+                path=self.path,
+                ports=tuple(self.ports),
+                capacity=config.capacity,
+            )
+        ]
+        self._setup_travels = False
+        self._initial_calls = [config.initial_calls]
         self._arrival_rates = [
             0.0
             if config.load <= 0
@@ -336,6 +349,11 @@ class RcbrGateway:
                 rng=self._overload_rng,
             )
         self.link_planes = [self.overload_plane]
+
+    @property
+    def paths(self) -> List[SignalingPath]:
+        """Every route's signaling path, in route-creation order."""
+        return [route.path for route in self.routes]
 
     def _new_fleet(
         self,
@@ -373,31 +391,46 @@ class RcbrGateway:
         """Offer one call to ``group``; returns its id if admitted, None
         if blocked.
 
-        The admission decision is the one setup step the gateways write
-        differently.  Here the CAC decides against the link capacity, the
-        workload shift is drawn only after the decision, and the setup
-        provisions the ports directly; the scenario gateway draws the
-        shift first and sends the setup reservation down its route.
+        Draws the class (overload stream), then the route and the CAC
+        verdict against its bottleneck capacity, then the shift (call
+        stream) and — only if admitted — the holding time.  Where the
+        setup travels the route (``_setup_travels``) the initial rate
+        is reserved hop by hop from rate 0, so a hop without headroom
+        blocks the call; otherwise install provisions the ports.
         """
         stats = self.group_stats[group]
         self.arrivals += 1
         stats.arrivals += 1
         call_class = self._draw_class()
         self.offered.on_arrival(call_class)
-        if not self.controller.admit(
-            self.config.capacity, now, call_class=call_class
-        ):
-            self.blocked += 1
-            stats.blocked += 1
-            self.offered.on_blocked(call_class)
-            return None
-        shift = int(self._call_rng.integers(self.workload.num_slots))
-        holding = float(self._call_rng.exponential(self.mean_holding))
-        call_id = next(self._call_ids)
-        slot, rate = self.fleet.admit(call_id, shift, call_class)
-        return self._install_call(
-            slot, call_id, rate, holding, call_class, now, provision=True
-        )
+        route = self._select_route(group)
+        if self.controller.admit(route.capacity, now, call_class=call_class):
+            fleet = self._fleets[group]
+            shift = int(self._call_rng.integers(fleet.workload.num_slots))
+            call_id = next(self._call_ids)
+            slot, rate = fleet.admit(call_id, shift, call_class)
+            key = group * GROUP_STRIDE + slot
+            self._bind(key, call_id, route)
+            vci = self._route(key, call_id)[0]
+            if not self._setup_travels or route.path.renegotiate(
+                RenegotiationRequest(vci, 0.0, rate, now)
+            ):
+                holding = float(self._call_rng.exponential(self.mean_holding))
+                return self._install_call(
+                    key, call_id, rate, holding, call_class, now,
+                    provision=not self._setup_travels,
+                )
+            # A setup cell lost after upstream hops committed leaves
+            # them holding its rate (drift no teardown repairs); that
+            # handle stays out of reuse so no later call inherits the
+            # stale reservation.
+            residue = any(port.rate_of(vci) for port in route.ports)
+            self._unbind(key, call_id, reuse=not residue)
+            fleet.remove(slot)
+        self.blocked += 1
+        stats.blocked += 1
+        self.offered.on_blocked(call_class)
+        return None
 
     def _install_call(
         self,
@@ -449,17 +482,19 @@ class RcbrGateway:
         self.arrivals += 1
         self.group_stats[group].arrivals += 1
         self.offered.on_arrival(call_class)
+        route = self._select_route(group)
         call_id = next(self._call_ids)
         slot, rate = self._fleets[group].admit(call_id, shift, call_class)
         key = group * GROUP_STRIDE + slot
-        self._bind(key, call_id)
+        self._bind(key, call_id, route)
         return self._install_call(
             key, call_id, rate, remaining, call_class, now, provision=True
         )
 
     def _admit_batch(self, count: int, now: float) -> None:
-        """``count`` x :meth:`_offer` at ``now``, bit-identical, as
-        one vector admission (the exactness rules are in :meth:`preload`)."""
+        """``count`` x :meth:`_offer` to classic group 0 at ``now``,
+        bit-identical, as one vector admission (see :meth:`preload`)."""
+        route = self.routes[0]
         stats = self.group_stats[0]
         self.arrivals += count
         stats.arrivals += count
@@ -467,9 +502,7 @@ class RcbrGateway:
             self._class_cdf, self._overload_rng.random(count), side="right"
         )
         self.offered.record_batch("arrivals", classes)
-        admitted = self.controller.admit_batch(
-            self.config.capacity, now, classes
-        )
+        admitted = self.controller.admit_batch(route.capacity, now, classes)
         if not bool(admitted.all()):
             blocked = int(np.count_nonzero(~admitted))
             self.blocked += blocked
@@ -494,7 +527,7 @@ class RcbrGateway:
         granted, failures = self.link.request_batch(slots, initial_rates, now)
         self.setup_shortfalls += failures
         self.fleet.rate[slots] = granted
-        for port in self.ports:
+        for port in route.ports:
             port.provision_batch(slots, granted)
         self.controller.on_admit_batch(
             call_ids, granted.tolist(), now, call_classes=classes
@@ -530,16 +563,21 @@ class RcbrGateway:
 
     def _route(self, key: int, call_id: int):
         """What the call at event key ``key`` reserved on, as ``(vci,
-        links, path, ports)``: the handle it reserved under, then the
-        links, signaling path and switch ports of its route.  A classic
-        call reserves under its pool slot on the one link and path."""
-        return key, (self.link,), self.path, self.ports
+        links, path, ports)``: the handle it reserved under, then its
+        route's.  A classic call reserves under its pool slot."""
+        route = self.routes[0]
+        return key, route.links, route.path, route.ports
 
-    def _bind(self, key: int, call_id: int) -> None:
-        """Give an entering call its route (the classic route is fixed)."""
+    def _select_route(self, group: int) -> Route:
+        """An entering call's route, chosen before the CAC (classic: fixed)."""
+        return self.routes[0]
 
-    def _unbind(self, key: int, call_id: int) -> None:
-        """Forget a leaving call's route (the classic route is fixed)."""
+    def _bind(self, key: int, call_id: int, route: Route) -> None:
+        """Bind a fleet-admitted call to ``route`` (classic: fixed)."""
+
+    def _unbind(self, key: int, call_id: int, reuse: bool = True) -> None:
+        """Forget a leaving call's route; ``reuse=False`` keeps its
+        handle out of reuse (classic: the route and handle are fixed)."""
 
     @staticmethod
     def _reserve(vci: int, links, rate: float, now: float):
@@ -976,11 +1014,13 @@ class RcbrGateway:
         throughput benchmark calls it explicitly so fleet construction is
         not charged against the timed steady-state serving loop.
 
-        A controller with ``admit_batch`` (always-admit) takes the whole
-        fleet as one vector admission, :meth:`_admit_batch`, which leaves
-        every byte of :meth:`state_dict` as the per-call loop of
-        :meth:`_offer` would; any other controller takes that loop.
-        The batch is exact because:
+        Flow groups offer their initial calls in order, then each arms
+        its arrival process.  Where the setup does not travel the route
+        and the controller has ``admit_batch`` (classic always-admit),
+        a group takes one vector admission, :meth:`_admit_batch`, which
+        leaves every byte of :meth:`state_dict` as the per-call loop of
+        :meth:`_offer` would; every other group takes that loop.  The
+        batch is exact because:
 
         * the classes are one ``random(n)`` draw on the overload stream,
           searched on the right in the class CDF — ``Generator.choice``'s
@@ -1000,12 +1040,17 @@ class RcbrGateway:
         if self._preloaded:
             return
         self._preloaded = True
-        if hasattr(self.controller, "admit_batch"):
-            self._admit_batch(self.config.initial_calls, 0.0)
-        else:
-            for _ in range(self.config.initial_calls):
-                self._offer(0, 0.0)
-        self._schedule_arrival(0)
+        batch = not self._setup_travels and hasattr(
+            self.controller, "admit_batch"
+        )
+        for group, count in enumerate(self._initial_calls):
+            if batch:
+                self._admit_batch(count, 0.0)
+            else:
+                for _ in range(count):
+                    self._offer(group, 0.0)
+        for group in range(len(self._fleets)):
+            self._schedule_arrival(group)
 
     def run(
         self,

@@ -1,13 +1,14 @@
-"""Per-flow-group and per-call records of the topology-general gateway.
+"""Per-flow-group and per-route records of the topology-general gateway.
 
 The gateway (:class:`~repro.server.gateway.RcbrGateway`) holds its
 topology as plain lists: one :class:`~repro.server.fleet.CallFleet` per
 flow group, one :class:`~repro.queueing.link.RcbrLink` per link, and one
-:class:`~repro.signaling.network.SignalingPath` per route.  The classic
-service is the one-group, one-link, one-path case; the scenario runtime
+:class:`Route` per distinct route, in creation order.  The classic
+service is the one-group, one-link, one-route case; the scenario runtime
 builds a route graph.  This module holds the two records that ride
 alongside those lists: :class:`GroupStats`, one flow group's lifecycle
-counters, and :class:`CallBinding`, what a routed call reserved on.
+counters, and :class:`Route`, what every call bound to a route reserves
+on and the capacity its admission decision is made against.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Tuple
 
 from repro.queueing.link import RcbrLink
 from repro.signaling.network import SignalingPath
+from repro.signaling.switch import SwitchPort
 
-__all__ = ["CallBinding", "GroupStats"]
+__all__ = ["GroupStats", "Route"]
 
 
 @dataclass
@@ -39,15 +41,19 @@ class GroupStats:
     reneg_denied: int = 0
 
 
-@dataclass(frozen=True)
-class CallBinding:
-    """Everything a live call reserved: its route, path, and links."""
+@dataclass(frozen=True, eq=False)
+class Route:
+    """One distinct route, shared by every call bound to it: the links
+    and ports (its path's) a call reserves on, the signaling path its
+    renegotiations travel, and the bottleneck ``capacity`` the CAC
+    decides against.  On a graph, ``nodes`` names the route and
+    ``edge_keys`` align with ``links`` (the per-link overload planes'
+    membership test); both are empty on the classic one-link service.
+    """
 
-    group: int
-    route: Tuple[str, ...]
-    path: SignalingPath
     links: Tuple[RcbrLink, ...]
-    #: Canonical edge keys along the route, aligned with ``links`` —
-    #: cheap membership tests for per-link overload planes and port
-    #: lookups without re-deriving the route's edges.
+    path: SignalingPath
+    ports: Tuple[SwitchPort, ...]
+    capacity: float
+    nodes: Tuple[str, ...] = ()
     edge_keys: Tuple[Tuple[str, str], ...] = ()

@@ -2,10 +2,11 @@
 
 Each gateway builds its topology exactly once: the classic gateway its
 one fleet, link, port chain, signaling path and (unless the policy is
-block) whole-gateway overload plane; the scenario gateway one fleet
-per flow group, one link per link spec, one overload plane per link and
-one signaling path per route, created when a call first binds it.
-Nothing is built and then thrown away.
+block) whole-gateway overload plane, with the one route record over
+them; the scenario gateway one fleet per flow group, one link per link
+spec, one overload plane per link and one route record (with its
+signaling path) per distinct route, created when a call first selects
+it.  Nothing is built and then thrown away.
 """
 
 import pytest
@@ -52,9 +53,13 @@ class TestScenarioConstruction:
         paths = record_constructions(monkeypatch, SignalingPath)
         with ScenarioGateway(downgrade_parking_lot()) as gateway:
             gateway.run(2.0)
-            routes = {binding.route for binding in gateway._bindings.values()}
+            bound = {route.nodes for route in gateway._bindings.values()}
             assert gateway.paths == paths
-            assert len(paths) >= len(routes) > 1
+            assert len(paths) == len(gateway.routes) >= len(bound) > 1
+            assert all(
+                any(route is record for record in gateway.routes)
+                for route in gateway._bindings.values()
+            )
 
     def test_restore_recreates_the_routes_in_creation_order(self, tmp_path):
         path = tmp_path / "lot.ckpt"
@@ -62,12 +67,14 @@ class TestScenarioConstruction:
         with ScenarioHarness(spec) as first:
             first.run(duration=1.0)
             first.save(path)
-            routes = list(first.gateway._route_paths)
+            routes = [route.nodes for route in first.gateway.routes]
         with ScenarioHarness(spec) as resumed:
             resumed.restore(path)
-            assert list(resumed.gateway._route_paths) == routes
-            assert resumed.gateway.paths == list(
-                resumed.gateway._route_paths.values()
+            gateway = resumed.gateway
+            assert [route.nodes for route in gateway.routes] == routes
+            assert all(
+                any(route is record for record in gateway.routes)
+                for route in gateway._bindings.values()
             )
 
 
@@ -83,6 +90,11 @@ def test_classic_builds_one_path_and_at_most_one_plane(monkeypatch, policy):
     )
     with build_gateway(workload, config) as gateway:
         assert paths == [gateway.path] == gateway.paths
+        (route,) = gateway.routes
+        assert route.path is gateway.path
+        assert route.links == (gateway.link,)
+        assert list(route.ports) == gateway.ports
+        assert route.capacity == config.capacity
         assert gateway.links == [gateway.link]
         assert gateway.link_planes == [gateway.overload_plane]
         assert planes == ([] if policy == "block" else [gateway.overload_plane])

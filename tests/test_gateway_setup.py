@@ -1,9 +1,10 @@
 """Call setup, written once for both gateways.
 
-Install, readmission, the per-group arrival process and background
-cross-traffic live in :class:`repro.server.gateway.RcbrGateway`, over
-the same route seam as the rest of the call lifecycle; the scenario
-gateway overrides only route binding and the admission decision.  These
+The admission decision, install, preload, readmission, the per-group
+arrival process and background cross-traffic live in
+:class:`repro.server.gateway.RcbrGateway`, over the same route seam as
+the rest of the call lifecycle; the scenario gateway overrides only
+route selection and binding.  These
 tests pin what that fold must keep: the classic per-group ledger, the
 fingerprint and kill-and-resume of background on more than one link,
 and checkpoints taken with arrival events pending.
@@ -137,8 +138,11 @@ class TestClassicGroupLedger:
 class TestOneSetupPath:
     def test_scenario_gateway_overrides_only_the_setup_seams(self):
         own = set(vars(ScenarioGateway))
-        assert {"_offer", "_bind", "_route", "_unbind"} <= own
+        assert {"_select_route", "_bind", "_route", "_unbind"} <= own
         assert not own & {
+            "_offer",
+            "preload",
+            "_admit_batch",
             "_install_call",
             "_readmit",
             "_handle_arrival",
@@ -146,6 +150,11 @@ class TestOneSetupPath:
             "EVENT_CALLBACK_ALLOWLIST",
             "EVENT_ARG_CODECS",
         }
+
+    def test_the_per_call_binding_record_is_gone(self):
+        import repro.server.topology as topology
+
+        assert not hasattr(topology, "CallBinding")
 
 
 class TestMultiLinkBackground:

@@ -7,6 +7,7 @@ the capacity of a link sized at 20 mean rates.
 """
 
 import os
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,9 +46,13 @@ def saturated_config(workload, **overrides):
 
 
 def fake_gateway(capacity=100.0):
-    """A pressure source the plane can poll without a full gateway."""
+    """A pressure source the plane can poll without a full gateway: a
+    link whose fields the tests set, read through the gateway
+    protocol's ``overload_pressure`` exactly as ``RcbrGateway`` does."""
     link = SimpleNamespace(allocated=0.0, total_demand=0.0, capacity=capacity)
-    return SimpleNamespace(link=link, fleet=None)
+    gateway = SimpleNamespace(link=link, fleet=None)
+    gateway.overload_pressure = partial(RcbrGateway.overload_pressure, gateway)
+    return gateway
 
 
 def make_plane(gateway, policy=None, enter=0.9, exit_=0.7, dwell=3):

@@ -374,8 +374,13 @@ class TestStaleness:
         # Schema 5 saved the classic gateway's one fleet, link and path
         # unwrapped, the scenario gateway's as stack exports, and the
         # per-link overload planes in the scenario section.
-        assert CHECKPOINT_SCHEMA == 6
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 5)
+
+    def test_schema_six_payload_is_refused(self, workload, tmp_path):
+        # Schema 6 was written by a build whose multi-bottleneck gateway
+        # drew a call's workload shift before the admission decision.
+        assert CHECKPOINT_SCHEMA == 7
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 6)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
