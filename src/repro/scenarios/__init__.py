@@ -13,7 +13,6 @@ is byte-identical for the same spec and seed.  See DESIGN.md §16.
 from repro.scenarios.registry import SCENARIO_NAMES, get_scenario
 from repro.scenarios.runtime import (
     BACKGROUND_VCI,
-    GROUP_STRIDE,
     ScenarioGateway,
     ScenarioHarness,
     ScenarioResult,
@@ -27,6 +26,7 @@ from repro.scenarios.spec import (
     LinkSpec,
     ScenarioSpec,
 )
+from repro.util.slots import GROUP_STRIDE
 
 __all__ = [
     "BACKGROUND_VCI",

@@ -75,7 +75,11 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: Schema 7: every topology decides admission before drawing a call's
 #: workload shift, so a measurement-based multi-bottleneck run's call
 #: stream and call ids differ from a schema-6 run of the same seed.
-CHECKPOINT_SCHEMA = 7
+#: Schema 8: renegotiation answers land as one ``_complete_batch`` per
+#: flow group and landing time on both gateway shapes (no per-call
+#: ``_complete`` events), and call bindings are per-group route and
+#: handle columns in the base export (no scenario bindings list).
+CHECKPOINT_SCHEMA = 8
 
 
 class CheckpointError(RuntimeError):

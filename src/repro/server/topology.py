@@ -8,7 +8,10 @@ service is the one-group, one-link, one-route case; the scenario runtime
 builds a route graph.  This module holds the two records that ride
 alongside those lists: :class:`GroupStats`, one flow group's lifecycle
 counters, and :class:`Route`, what every call bound to a route reserves
-on and the capacity its admission decision is made against.
+on and the capacity its admission decision is made against.  A call's
+binding is not a record: it is the call's entries in two per-group
+integer columns the gateway holds, its route index and its
+reservation handle.
 """
 
 from __future__ import annotations
@@ -43,17 +46,18 @@ class GroupStats:
 
 @dataclass(frozen=True, eq=False)
 class Route:
-    """One distinct route, shared by every call bound to it: the links
-    and ports (its path's) a call reserves on, the signaling path its
-    renegotiations travel, and the bottleneck ``capacity`` the CAC
-    decides against.  On a graph, ``nodes`` names the route and
-    ``edge_keys`` align with ``links`` (the per-link overload planes'
-    membership test); both are empty on the classic one-link service.
+    """One distinct route, shared by every call bound to it: its
+    ``index`` in the gateway's route list (the value a bound call's
+    route column holds), the links and ports (its path's) a call
+    reserves on, the signaling path its renegotiations travel, and the
+    bottleneck ``capacity`` the CAC decides against.  On a graph,
+    ``nodes`` names the route; it is empty on the classic one-link
+    service.
     """
 
+    index: int
     links: Tuple[RcbrLink, ...]
     path: SignalingPath
     ports: Tuple[SwitchPort, ...]
     capacity: float
     nodes: Tuple[str, ...] = ()
-    edge_keys: Tuple[Tuple[str, str], ...] = ()

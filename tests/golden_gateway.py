@@ -37,7 +37,8 @@ class GoldenScalarGateway(RcbrGateway):
         "_golden_complete": (int, int, float, bool, bool),
     }
 
-    def _issue_epoch(self, step, end_of_slot: float) -> None:
+    def _issue_epoch(self, group, step, end_of_slot: float) -> None:
+        assert group == 0
         slots = step.slots
         call_ids = self.fleet.call_id[slots]
         for slot, call_id, candidate in zip(

@@ -31,6 +31,16 @@ def record_constructions(monkeypatch, cls):
     return built
 
 
+def bound_routes(gateway):
+    """The route record of every live call, in (group, slot) order,
+    read from the gateway's per-group binding columns."""
+    return [
+        gateway.routes[index]
+        for routes, fleet in zip(gateway._route_of, gateway._fleets)
+        for index in routes[fleet.active].tolist()
+    ]
+
+
 def downgrade_parking_lot():
     return get_scenario("parking-lot", duration=2.0, snapshot_every=1.0).replace(
         overload_policy="downgrade"
@@ -53,12 +63,11 @@ class TestScenarioConstruction:
         paths = record_constructions(monkeypatch, SignalingPath)
         with ScenarioGateway(downgrade_parking_lot()) as gateway:
             gateway.run(2.0)
-            bound = {route.nodes for route in gateway._bindings.values()}
+            bound = {route.nodes for route in bound_routes(gateway)}
             assert gateway.paths == paths
             assert len(paths) == len(gateway.routes) >= len(bound) > 1
-            assert all(
-                any(route is record for record in gateway.routes)
-                for route in gateway._bindings.values()
+            assert [route.index for route in gateway.routes] == list(
+                range(len(gateway.routes))
             )
 
     def test_restore_recreates_the_routes_in_creation_order(self, tmp_path):
@@ -68,14 +77,13 @@ class TestScenarioConstruction:
             first.run(duration=1.0)
             first.save(path)
             routes = [route.nodes for route in first.gateway.routes]
+            bound = [route.nodes for route in bound_routes(first.gateway)]
+        assert bound
         with ScenarioHarness(spec) as resumed:
             resumed.restore(path)
             gateway = resumed.gateway
             assert [route.nodes for route in gateway.routes] == routes
-            assert all(
-                any(route is record for record in gateway.routes)
-                for route in gateway._bindings.values()
-            )
+            assert [route.nodes for route in bound_routes(gateway)] == bound
 
 
 @pytest.mark.parametrize("policy", ["block", "downgrade"])

@@ -195,7 +195,15 @@ class TestOverloadEverywhere:
 
     @pytest.mark.parametrize("policy", ["downgrade", "sacrifice"])
     def test_hot_chain_resume_under_active_overload(self, policy):
-        ref, resumed = resume_drill(hot_spec(policy), stop_fraction=0.5)
+        spec = hot_spec(policy)
+        if policy == "sacrifice":
+            # At the 10 s default no sacrificed call is readmitted yet;
+            # by 30 s the drill crosses readmissions on both sides of
+            # the save.
+            spec = spec.replace(duration=30.0)
+            links = run_scenario(spec).links.values()
+            assert sum(link["overload"]["readmitted"] for link in links) > 0
+        ref, resumed = resume_drill(spec, stop_fraction=0.5)
         assert resumed == ref
 
     def test_mbac_controller_on_multi_bottleneck(self):

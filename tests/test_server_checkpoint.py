@@ -379,8 +379,13 @@ class TestStaleness:
     def test_schema_six_payload_is_refused(self, workload, tmp_path):
         # Schema 6 was written by a build whose multi-bottleneck gateway
         # drew a call's workload shift before the admission decision.
-        assert CHECKPOINT_SCHEMA == 7
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 6)
+
+    def test_schema_seven_payload_is_refused(self, workload, tmp_path):
+        # Schema 7 carried one ``_complete`` event per scenario
+        # renegotiation and the scenario gateway's bindings list.
+        assert CHECKPOINT_SCHEMA == 8
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 7)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

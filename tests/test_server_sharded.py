@@ -241,6 +241,24 @@ class TestGoldenOracle:
         if overrides.get("overload_policy") == "sacrifice":
             assert golden.overload["readmitted"] > 0
 
+    def test_golden_lands_its_own_completions(self, workload, monkeypatch):
+        # The oracle is live only while its per-call issue override is
+        # the one the epoch step calls: its answers must land through
+        # ``_golden_complete``, never through the batch it is checking.
+        fired = {"_golden_complete": 0, "_complete_batch": 0}
+        for name in fired:
+            original = getattr(GoldenScalarGateway, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                fired[_name] += 1
+                return _original(self, *args)
+
+            counted.__name__ = name
+            monkeypatch.setattr(GoldenScalarGateway, name, counted)
+        golden_pair(workload, case_overrides(workload, "hot-denials"), None)
+        assert fired["_golden_complete"] > 0
+        assert fired["_complete_batch"] == 0
+
 
 class TestLinkShortfalls:
     """Renegotiations run short at the link only after a partially
