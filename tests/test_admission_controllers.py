@@ -166,6 +166,14 @@ class TestMemory:
         # Only 1 second of history: below threshold, admit.
         assert controller.admit(1_000.0, 1.0)
 
+    def test_non_positive_capacity_raises(self):
+        controller = MemoryMBAC(1e-3)
+        controller.on_admit("a", 100.0, 0.0)
+        controller.on_reservation("a", 300.0, 5.0)
+        for capacity in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                controller.admit(capacity, 10.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MemoryMBAC(0.0)
