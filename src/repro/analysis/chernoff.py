@@ -137,6 +137,10 @@ def _rate(levels: np.ndarray, probs: np.ndarray, c: float) -> float:
         weights = probs * np.exp(theta * offsets)
         return float((weights @ levels) / weights.sum())
 
+    # `mean` and the tilted mean at 0 round apart: a c between them is
+    # at the mean, where theta* = 0 and the exact rate is 0.
+    if tilted_mean(0.0) > c:
+        return 0.0
     # Bracket theta*: tilted mean runs from `mean` at 0 to `top` as
     # theta -> inf; expand the upper end until it overshoots c.
     low, high = 0.0, 1.0 / max(top - mean, 1e-12)

@@ -21,9 +21,9 @@ in the spirit of Fricker et al.'s downgrading allocation schemes:
   evicts the cheapest-to-displace calls (deterministic, seeded victim
   selection) into a bounded requeue, readmitting them once the link
   recovers;
-* :class:`~repro.overload.linkagent.LinkScopedOverloadAgent` — scopes
-  one plane+policy pair to a single bottleneck edge of a multi-link
-  gateway, so every topology gets per-link overload control through
+* :class:`~repro.overload.linkagent.LinkScopedOverloadAgent` — the
+  one link a plane+policy pair acts on, the classic service's only link
+  included, so every topology gets per-link overload control through
   the same policies.
 """
 

@@ -1,4 +1,9 @@
-"""The hysteresis state machine watching pressure on the shared link.
+"""The hysteresis state machine watching pressure on one link.
+
+The gateway runs one plane per link, each driving its policy through a
+:class:`~repro.overload.linkagent.LinkScopedOverloadAgent` for that
+link: the agent reports the pressure, offers the victims and carries
+out the policy's actions.
 
 Pressure is ``max(allocated, total demand) / capacity``: allocated
 bandwidth measures what the link has committed, total demand includes
@@ -24,16 +29,17 @@ import numpy as np
 
 from repro.overload.policies import OverloadPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle (gateway imports us)
-    from repro.server.gateway import RcbrGateway
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.overload.linkagent import LinkScopedOverloadAgent
 
 
 class OverloadControlPlane:
-    """Drives one overload policy from the gateway's epoch loop."""
+    """Drives one overload policy on one link from the gateway's epoch
+    loop; ``gateway`` is the link's agent."""
 
     def __init__(
         self,
-        gateway: "RcbrGateway",
+        gateway: "LinkScopedOverloadAgent",
         policy: OverloadPolicy,
         enter: float,
         exit_: float,
@@ -64,8 +70,8 @@ class OverloadControlPlane:
         self._below = 0
 
     def pressure(self) -> float:
-        """The watched link's pressure, as the gateway (or per-link
-        agent) reports it: max(allocated, demand) / capacity."""
+        """The watched link's pressure, as its agent reports it:
+        max(allocated, demand) / capacity."""
         return self.gateway.overload_pressure()
 
     def on_epoch(self, tick: int, now: float) -> Optional[np.ndarray]:

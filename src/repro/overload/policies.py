@@ -1,8 +1,9 @@
 """The three overload policies the control plane can drive.
 
-A policy never touches the link or the fleet directly: it asks the
-gateway for *actions* (shrink a class's granted rates, evict a call,
-readmit a queued one) and hands the fleet step a per-slot resolution
+A policy never touches the link or the fleet directly: it asks its
+link's agent (:class:`~repro.overload.linkagent.LinkScopedOverloadAgent`)
+for *actions* (shrink a class's granted rates, evict a call, readmit a
+queued one) and hands the fleet step a per-slot resolution
 scale array.  All arithmetic on arrivals stays in
 :mod:`repro.core.kernel`; all bandwidth bookkeeping stays in the
 gateway's existing link/port/controller paths.  Policies therefore
@@ -23,8 +24,8 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle (gateway imports us)
-    from repro.server.gateway import RcbrGateway
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.overload.linkagent import LinkScopedOverloadAgent
 
 __all__ = [
     "OVERLOAD_POLICY_NAMES",
@@ -40,10 +41,9 @@ __all__ = [
 OVERLOAD_POLICY_NAMES = ("block", "downgrade", "sacrifice")
 
 #: A sacrificed call waiting for readmission: (call_class, workload
-#: shift, remaining holding time in seconds).  Gateways may append
-#: extra routing context (a per-link agent adds the flow group); the
-#: policy carries the tuple opaquely back to ``overload_readmit``.
-QueuedCall = Tuple[int, int, float]
+#: shift, remaining holding time in seconds, flow group).  The policy
+#: carries the tuple opaquely back to ``overload_readmit``.
+QueuedCall = Tuple[int, int, float, int]
 
 
 class OverloadPolicy:
@@ -53,7 +53,7 @@ class OverloadPolicy:
     name = "base"
 
     def __init__(self) -> None:
-        self._gateway: Optional["RcbrGateway"] = None
+        self._gateway: Optional["LinkScopedOverloadAgent"] = None
         self._num_classes = 1
         self._rng: Optional[np.random.Generator] = None
         self._enter = 1.0
@@ -61,7 +61,7 @@ class OverloadPolicy:
 
     def bind(
         self,
-        gateway: "RcbrGateway",
+        gateway: "LinkScopedOverloadAgent",
         num_classes: int,
         rng: np.random.Generator,
         enter: float,
@@ -331,7 +331,7 @@ class SacrificePolicy(OverloadPolicy):
 
     def load_state(self, state: Dict[str, Any]) -> None:
         self.queue = deque(
-            (int(entry[0]), int(entry[1]), float(entry[2]), *entry[3:])
+            (int(entry[0]), int(entry[1]), float(entry[2]), int(entry[3]))
             for entry in state["queue"]
         )
         self.sacrificed = int(state["sacrificed"])

@@ -6,14 +6,15 @@ delays), flow groups binding traffic sources to routes, and background
 cross-traffic that consumes link capacity as a time-varying non-RCBR
 process.  :func:`get_scenario` resolves the built-in roster
 (:data:`SCENARIO_NAMES`); :func:`run_scenario` executes a spec on the
-serving stack and returns a :class:`ScenarioResult` whose fingerprint
-is byte-identical for the same spec and seed.  See DESIGN.md §16.
+one serving gateway (:class:`~repro.server.gateway.RcbrGateway`, built
+from the spec by :class:`ScenarioHarness`) and returns a
+:class:`ScenarioResult` whose fingerprint is byte-identical for the
+same spec and seed.  See DESIGN.md §16.
 """
 
 from repro.scenarios.registry import SCENARIO_NAMES, get_scenario
 from repro.scenarios.runtime import (
     BACKGROUND_VCI,
-    ScenarioGateway,
     ScenarioHarness,
     ScenarioResult,
     run_scenario,
@@ -36,7 +37,6 @@ __all__ = [
     "BackgroundSpec",
     "FlowGroupSpec",
     "LinkSpec",
-    "ScenarioGateway",
     "ScenarioHarness",
     "ScenarioResult",
     "ScenarioSpec",

@@ -13,16 +13,16 @@ overload policy, abandonment).
 Validation is eager, like ``ServerConfig``: a registry typo or an
 impossible topology fails at spec construction, not mid-run.
 
-Every spec runs on the unified serving core (see
-:mod:`repro.scenarios.runtime`): a **single-bottleneck** spec (one
-link, one flow group) builds the classic gateway — the degenerate
-one-edge topology — while anything else builds the multi-bottleneck
-:class:`~repro.scenarios.runtime.ScenarioGateway`.  Shards,
-checkpoint/resume, MBAC controllers, and overload policies beyond
-blocking apply to both shapes; on a multi-bottleneck topology an MBAC
-controller vets each call against its route's bottleneck capacity, and
-a non-``block`` overload policy runs one control plane per bottleneck
-link.
+Every spec runs on the one :class:`~repro.server.gateway.RcbrGateway`
+(see :mod:`repro.scenarios.runtime`), configured by
+:meth:`ScenarioSpec.server_config`: a **single-bottleneck** spec (one
+link, one flow group) compiles through that config to the classic
+one-link topology, while anything else compiles to a route graph.
+Shards, checkpoint/resume, MBAC controllers, and overload policies
+beyond blocking apply to both shapes; on a multi-bottleneck topology an
+MBAC controller vets each call against its route's bottleneck capacity,
+and a non-``block`` overload policy runs one control plane per
+bottleneck link, as it runs one on the classic link.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.server.config import CONTROLLER_NAMES
+from repro.server.config import CONTROLLER_NAMES, ServerConfig
 from repro.traffic.sources import SOURCE_NAMES
 from repro.traffic.starwars import STAR_WARS_MEAN_RATE
 
@@ -217,6 +217,11 @@ class ScenarioSpec:
             )
         if self.num_hops < 1:
             raise ValueError("num_hops must be >= 1")
+        if self.num_hops != 1 and not self.single_bottleneck:
+            raise ValueError(
+                "num_hops applies to single-bottleneck scenarios only; a "
+                "multi-bottleneck route has one hop per link"
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -236,6 +241,30 @@ class ScenarioSpec:
     @property
     def total_capacity(self) -> float:
         return sum(link.capacity for link in self.links)
+
+    def server_config(self, shards: int = 0) -> ServerConfig:
+        """The gateway config this spec runs under.  A single-bottleneck
+        spec's is its one link and flow group; a route graph's capacity
+        is the links' total, and its offered load and initial calls are
+        per flow group, so the config's are zero."""
+        single = self.single_bottleneck
+        flow = self.flows[0]
+        return ServerConfig(
+            capacity=self.total_capacity,
+            load=flow.load if single else 0.0,
+            controller=self.controller,
+            mean_holding=self.mean_holding,
+            abandon_after=self.abandon_after,
+            num_hops=self.num_hops,
+            hop_delay=self.links[0].delay,
+            initial_calls=flow.initial_calls if single else 0,
+            seed=self.seed,
+            source_slots=self.source_slots,
+            shards=shards,
+            overload_policy=self.overload_policy,
+            overload_classes=self.overload_classes,
+            class_weights=self.class_weights,
+        )
 
     def replace(self, **overrides: Any) -> "ScenarioSpec":
         """A copy with fields replaced (re-validated)."""

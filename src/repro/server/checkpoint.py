@@ -79,7 +79,11 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: flow group and landing time on both gateway shapes (no per-call
 #: ``_complete`` events), and call bindings are per-group route and
 #: handle columns in the base export (no scenario bindings list).
-CHECKPOINT_SCHEMA = 8
+#: Schema 9: one gateway class; routes are built at construction, so
+#: the ``scenario`` section is gone (no route list, no path stream) and
+#: the base export carries the interned network slots and the plane
+#: stream.
+CHECKPOINT_SCHEMA = 9
 
 
 class CheckpointError(RuntimeError):

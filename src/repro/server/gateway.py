@@ -1,4 +1,4 @@
-"""The RCBR gateway: an event-driven service runtime over one link.
+"""The RCBR gateway: an event-driven service runtime over a topology.
 
 This ties the whole library together as a long-lived service loop.  An
 open-loop Poisson load generator offers calls to an admission controller
@@ -43,16 +43,20 @@ once, over a call's shared :class:`~repro.server.topology.Route`: the
 links, signaling path and switch ports it reserves on and the
 bottleneck capacity the CAC decides against.  A call's binding is its
 route index and handle in two per-group columns.  Heap events address a
-call by the key ``group * GROUP_STRIDE + slot``; the classic service
-is flow group 0 with the one-link route, and the scenario runtime
-(:mod:`repro.scenarios.runtime`) selects one route per call over a
-topology (:meth:`RcbrGateway._select_route`).  Either way the gateway
-holds its topology as plain lists — fleets, links, ports, routes,
-per-link overload planes — built once by the shape's one construction
-step (:meth:`RcbrGateway._build_topology`), and the snapshot, report,
-checkpoint and close fold over them in that order.  The arrival process
-is one Poisson stream per flow group, and background cross-traffic is
-one :class:`~repro.scenarios.runtime.BackgroundDriver` per link,
+call by the key ``group * GROUP_STRIDE + slot``.  One class serves
+every topology, and one construction step
+(:meth:`RcbrGateway._build_topology`) turns either input into the same
+plain lists — fleets, links, ports, routes, each flow group's candidate
+routes, per-link overload planes: a :class:`ServerConfig` becomes one
+link with ``num_hops`` ports and one route (the classic service is flow
+group 0 on it), a multi-bottleneck scenario spec
+(:mod:`repro.scenarios`) a route graph whose flow groups each get their
+``route_k`` shortest routes.  An entering call takes the candidate with
+the most bottleneck headroom (:meth:`RcbrGateway._select_route`).  The
+snapshot, report, checkpoint and close fold over the lists in their
+order.  The arrival process is one Poisson stream per flow group, and
+background cross-traffic is one
+:class:`~repro.server.topology.BackgroundDriver` per background process,
 applied before every epoch step.
 
 Dual bandwidth authority, by design.  Every call takes one admission
@@ -83,9 +87,11 @@ registry model; a ``source`` instance overrides it), so the runtime can
 carry Star-Wars-like, Markov, multi-timescale, on/off, or trace-playback
 fleets through one code path.
 
-When offered load stays above capacity, an optional link-level overload
-control plane (:mod:`repro.overload`) watches pressure on the link with
-hysteresis and applies the configured policy — downgrade walks service
+When offered load stays above capacity, an optional overload control
+plane per link (:mod:`repro.overload`) watches pressure on its link
+with hysteresis and applies the configured policy, through a
+:class:`~repro.overload.linkagent.LinkScopedOverloadAgent` over the
+calls routed across that link — downgrade walks service
 classes down a resolution ladder (granted rates shrink immediately,
 future arrivals shrink through the kernel's downgrade mask), sacrifice
 evicts the cheapest-to-displace calls into a bounded requeue.  The
@@ -94,8 +100,9 @@ byte-identical to pre-overload builds.
 
 Determinism contract: a fixed config seed spawns the arrival-process,
 call-property, cell-loss, retry-jitter, workload-sampling, and overload
-streams (the fifth and sixth were appended in that order, so seeded
-runs predating them are unchanged); the event heap is FIFO-stable;
+streams, then four route-graph streams (see :meth:`RcbrGateway.__init__`;
+each was appended after the last, so seeded runs predating it are
+unchanged); the event heap is FIFO-stable;
 renegotiation issue order is ascending pool-slot order, and every
 overload action walks slots in ascending order too.  Same seed (and
 same fault plan seed) ⇒ bit-identical snapshot stream, enforced via
@@ -110,12 +117,14 @@ import math
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
+import networkx as nx
 import numpy as np
 
 from repro.admission.callsim import arrival_rate_for_load
 from repro.admission.controllers import AdmissionController
 from repro.admission.offered import OfferedLoadAccountant
 from repro.faults.injectors import FaultPlan
+from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.policies import policy_for_config
 from repro.queueing.events import Event, EventScheduler
@@ -128,14 +137,19 @@ from repro.server.stats import (
     ServerSnapshot,
     snapshot_fingerprint,
 )
-from repro.server.topology import GroupStats, Route
+from repro.server.topology import (
+    GroupStats,
+    Route,
+    background_drivers,
+    network_section,
+)
 from repro.signaling.messages import RenegotiationRequest
 from repro.signaling.network import SignalingPath
 from repro.signaling.switch import SwitchPort
 from repro.traffic.sources import TrafficSource, make_source
 from repro.traffic.trace import SlottedWorkload
 from repro.util.rng import spawn_generators
-from repro.util.slots import GROUP_STRIDE, grown
+from repro.util.slots import GROUP_STRIDE, SlotInterner, grown
 from repro.util.stats import jain_fairness
 
 #: Tolerance when comparing epoch boundaries against snapshot deadlines.
@@ -144,7 +158,12 @@ _TIME_EPSILON = 1e-9
 EpochHook = Callable[[int, "RcbrGateway"], Optional[bool]]
 
 class RcbrGateway:
-    """A long-lived RCBR service instance over one bottleneck link."""
+    """A long-lived RCBR service instance over one link or a route graph.
+
+    ``spec``, a scenario spec, adds its background processes and, when
+    it is multi-bottleneck, replaces the config's one link with its
+    route graph (see :meth:`_build_topology`).
+    """
 
     #: Event-heap callbacks a checkpoint may carry (encoded by method
     #: name, decoded by ``getattr`` on the restoring gateway).  Anything
@@ -163,10 +182,6 @@ class RcbrGateway:
         "_handle_departure": (int, int),
     }
 
-    #: The classic service's whole-gateway overload plane; None under
-    #: the block policy and on a route graph, whose planes are per link.
-    overload_plane: Optional[OverloadControlPlane] = None
-
     def __init__(
         self,
         workload: Optional[SlottedWorkload],
@@ -174,24 +189,43 @@ class RcbrGateway:
         controller: Optional[AdmissionController] = None,
         faults: Optional[FaultPlan] = None,
         source: Optional[TrafficSource] = None,
+        spec=None,
     ) -> None:
+        # Ten streams, spawned once; the spawn-prefix property keeps
+        # streams 0-5 those of a six-stream spawn.  A config-compiled
+        # topology draws 2 (cell loss), 3 (retries) and 5 (its plane); a
+        # route graph 6 (workloads), 8 (every route path) and 9 (its
+        # planes); 7 samples any scenario background.
+        streams = spawn_generators(config.seed, 10)
         (
             self._arrival_rng,
             self._call_rng,
-            path_rng,
-            retry_rng,
+            _,
+            _,
             source_rng,
             self._overload_rng,
-        ) = spawn_generators(config.seed, 6)
+        ) = streams[:6]
+        # A multi-bottleneck scenario spec compiles to a route graph; a
+        # single-bottleneck one compiles through its config, like a
+        # plain ServerConfig, and adds only its background.
+        graph = None if spec is None or spec.single_bottleneck else spec
+        self._graph = graph
 
         # Resolve the base workload: an explicit TrafficSource instance
         # wins, then a registry name in config.source (sampled on the
         # dedicated stream so runs stay seed-deterministic), then the
-        # workload handed in directly.
+        # workload handed in directly.  A route graph samples one per
+        # flow group, in flow order, and serves the first as the base.
         if source is None and config.source is not None:
             source = make_source(config.source, workload=workload)
         self.source = source
-        if source is not None:
+        if graph is not None:
+            workloads = [
+                source.sample_workload(config.source_slots, seed=streams[6])
+                for _ in graph.flows
+            ]
+            workload = workloads[0]
+        elif source is not None:
             workload = source.sample_workload(
                 config.source_slots, seed=source_rng
             )
@@ -215,9 +249,6 @@ class RcbrGateway:
             if config.mean_holding is not None
             else workload.duration
         )
-        #: Background cross-traffic drivers, applied before every epoch
-        #: step (see :class:`repro.scenarios.runtime.BackgroundDriver`).
-        self.backgrounds: list = []
         #: Identity stamps beyond config, workload and code version that
         #: every checkpoint of this gateway carries and every restore
         #: requires (the scenario harness adds the scenario hash).
@@ -265,18 +296,40 @@ class RcbrGateway:
         self._preloaded = False
         self._encode_callback_cache: Dict[object, str] = {}
 
-        # The topology, built once by its shape's own step, which sets
-        # the plain lists the snapshot, report, checkpoint and close
-        # fold over: ``_fleets`` (flow-group order; event keys index
-        # it), ``links`` (link order), ``ports`` (every switch port;
-        # the last ``len(links)`` are the links' bottleneck ports, in
-        # link order), ``routes`` (creation order; a route's index is
-        # its position), ``link_planes`` (each link's overload plane,
-        # None where none runs), ``_arrival_rates`` and
-        # ``_initial_calls`` (per flow group), ``_setup_travels`` (see
-        # :meth:`_offer`) and ``_net_slots`` (see :meth:`_bind`).
-        self.routes: List[Route] = []
-        self._build_topology(path_rng, retry_rng)
+        # The topology, built once from either input as the plain lists
+        # the snapshot, report, checkpoint and close fold over:
+        # ``_fleets`` (flow-group order; event keys index it), ``links``
+        # (link order), ``ports`` (every switch port; the last
+        # ``len(links)`` are the links' bottleneck ports, in link
+        # order), ``routes`` (construction order; a route's index is its
+        # position), ``_candidates`` (each flow group's routes),
+        # ``link_planes`` (each link's overload plane, None where none
+        # runs), ``backgrounds`` (one driver per background process),
+        # ``_arrival_rates`` and ``_initial_calls`` (per flow group),
+        # ``_setup_travels`` (see :meth:`_offer`) and ``_net_slots``
+        # (see :meth:`_bind`).
+        self._build_topology(
+            graph, streams, [workload] if graph is None else workloads
+        )
+        self._plane_rng = streams[5] if graph is None else streams[9]
+        self.link_planes = [
+            self._new_plane(index) for index in range(len(self.links))
+        ]
+        self.backgrounds = (
+            []
+            if spec is None
+            else background_drivers(
+                spec, self.ports[-len(self.links):], self.links, streams[7]
+            )
+        )
+        # Views of the lists: the config-compiled topology's one fleet,
+        # link and path, and its plane (whose section is the snapshot's
+        # ``overload`` payload; a route graph reports its planes in the
+        # ``network`` section instead).
+        self.fleet = self._fleets[0]
+        self.link = self.links[0]
+        self.path = self.routes[0].path
+        self.overload_plane = self.link_planes[0] if graph is None else None
         self.group_stats = [GroupStats() for _ in self._fleets]
         # A call's binding, per flow group and pool slot: its route's
         # index and the handle (vci) it reserves under on that route.
@@ -284,77 +337,139 @@ class RcbrGateway:
         self._vci_of = [np.zeros(f.capacity, dtype=np.int64) for f in self._fleets]
 
     # ------------------------------------------------------------------
-    # Construction: the one step a topology shape overrides
+    # Construction
     # ------------------------------------------------------------------
-    def _build_topology(self, path_rng, retry_rng) -> None:
-        """Build the classic one-link topology: one fleet, one link,
-        ``num_hops`` switch ports, one signaling path over them (on the
-        ``path_rng``/``retry_rng`` streams), the one route over them
-        (capacity ``config.capacity``; setup does not travel it, and a
-        call reserves under its pool slot), one Poisson arrival stream
-        and, unless the policy is block, the whole-gateway overload
-        plane.  The scenario runtime overrides this to build a route
-        graph instead."""
+    def _build_topology(self, graph, streams, workloads) -> None:
+        """Turn either input into the topology lists.
+
+        A config (``graph`` None) is one link with ``num_hops`` switch
+        ports, the last the bottleneck, and one route over them whose
+        signaling path runs on streams 2 (cell loss) and 3 (retries);
+        its one flow group's fleet starts at ``max(256,
+        initial_calls)`` slots and its calls reserve under their pool
+        slots.  A route graph is one link and bottleneck port per link
+        spec and, per flow group in flow order, its ``route_k`` shortest
+        routes as its candidates, each distinct route built once with
+        its signaling path on stream 8; every group's fleet starts at
+        256 slots, calls reserve under interned network slots, and a
+        call's setup travels its route.  Either way a group's Poisson
+        arrival rate is its load against its first candidate's
+        bottleneck capacity."""
         config = self.config
-        self.fleet = self._new_fleet(
-            self.workload, config, max(256, config.initial_calls)
-        )
-        self.link = RcbrLink(config.capacity)
-        # The last port is the bottleneck (capacity == link capacity);
-        # upstream hops get headroom so the bottleneck stays binding.
-        self.ports = [
-            SwitchPort(
-                config.capacity * config.upstream_headroom,
-                name=f"hop{index}",
-            )
-            for index in range(config.num_hops - 1)
-        ]
-        self.ports.append(SwitchPort(config.capacity, name="bottleneck"))
-        self.path = SignalingPath(
-            self.ports,
-            hop_delay=config.hop_delay,
-            seed=path_rng,
+        signaling = dict(
             faults=self.faults,
             request_timeout=config.request_timeout,
             max_retries=config.max_retries,
             retry_backoff=config.retry_backoff,
             retry_jitter=config.retry_jitter,
-            retry_seed=retry_rng,
         )
-        self._fleets = [self.fleet]
-        self.links = [self.link]
-        self.routes.append(Route(0, (self.link,), self.path, tuple(self.ports), config.capacity))
-        self._setup_travels = False
-        self._net_slots = None
-        self._initial_calls = [config.initial_calls]
+        if graph is None:
+            self.links = [RcbrLink(config.capacity)]
+            # Upstream hops get headroom so the bottleneck stays binding.
+            self.ports = [
+                SwitchPort(
+                    config.capacity * config.upstream_headroom,
+                    name=f"hop{index}",
+                )
+                for index in range(config.num_hops - 1)
+            ]
+            self.ports.append(SwitchPort(config.capacity, name="bottleneck"))
+            path = SignalingPath(
+                self.ports,
+                hop_delay=config.hop_delay,
+                seed=streams[2],
+                retry_seed=streams[3],
+                **signaling,
+            )
+            self.routes = [
+                Route(0, tuple(self.links), path, tuple(self.ports), config.capacity)
+            ]
+            self._candidates = [self.routes]
+            groups = [(config.load, config.initial_calls, max(256, config.initial_calls))]
+            self._net_slots = None
+        else:
+            network = nx.Graph()
+            network.add_edges_from((link.u, link.v) for link in graph.links)
+            edge_index = {
+                frozenset((link.u, link.v)): index
+                for index, link in enumerate(graph.links)
+            }
+            self.links = [RcbrLink(link.capacity) for link in graph.links]
+            self.ports = [
+                SwitchPort(link.capacity, name=f"{link.u}<->{link.v}")
+                for link in graph.links
+            ]
+            routes: Dict[tuple, Route] = {}
+            self._candidates = []
+            for flow in graph.flows:
+                k = flow.route_k if flow.route_k is not None else graph.route_k
+                shortest = nx.shortest_simple_paths(network, flow.source, flow.target)
+                candidates = [tuple(nodes) for nodes in itertools.islice(shortest, k)]
+                for nodes in candidates:
+                    if nodes in routes:
+                        continue
+                    hops = [edge_index[frozenset(edge)] for edge in zip(nodes, nodes[1:])]
+                    delays = [graph.links[hop].delay for hop in hops]
+                    path = SignalingPath(
+                        [self.ports[hop] for hop in hops],
+                        # One scalar per-hop delay; the mean keeps the
+                        # route's round trip (2 * sum of link delays).
+                        hop_delay=sum(delays) / len(delays),
+                        seed=streams[8],
+                        retry_seed=streams[8],
+                        **signaling,
+                    )
+                    routes[nodes] = Route(
+                        len(routes),
+                        tuple(self.links[hop] for hop in hops),
+                        path,
+                        tuple(path.ports),
+                        min(graph.links[hop].capacity for hop in hops),
+                        nodes,
+                    )
+                self._candidates.append([routes[nodes] for nodes in candidates])
+            self.routes = list(routes.values())
+            groups = [(flow.load, flow.initial_calls, 256) for flow in graph.flows]
+            self._net_slots = SlotInterner()
+        self._setup_travels = graph is not None
+        self._fleets = [
+            self._new_fleet(workload, config, capacity)
+            for workload, (_, _, capacity) in zip(workloads, groups)
+        ]
+        self._initial_calls = [initial for _, initial, _ in groups]
         self._arrival_rates = [
             0.0
-            if config.load <= 0
+            if load <= 0
             else arrival_rate_for_load(
-                config.load,
-                config.capacity,
-                self.workload.mean_rate,
-                self.mean_holding,
+                load, candidates[0].capacity, workload.mean_rate, self.mean_holding
+            )
+            for (load, _, _), candidates, workload in zip(
+                groups, self._candidates, workloads
             )
         ]
-        # Block means "no plane": the baseline takes the exact
-        # pre-overload code path.
+
+    def _new_plane(self, index: int) -> Optional[OverloadControlPlane]:
+        """Link ``index``'s overload plane, driving the configured policy
+        through a :class:`LinkScopedOverloadAgent` over the calls routed
+        across that link; None under block, so the baseline takes the
+        exact pre-overload code path."""
+        config = self.config
         policy = policy_for_config(config)
-        if policy is not None:
-            self.overload_plane = OverloadControlPlane(
-                self,
-                policy,
-                enter=config.overload_enter,
-                exit_=config.overload_exit,
-                dwell=config.overload_dwell,
-                num_classes=self.num_classes,
-                rng=self._overload_rng,
-            )
-        self.link_planes = [self.overload_plane]
+        if policy is None:
+            return None
+        return OverloadControlPlane(
+            LinkScopedOverloadAgent(self, index),
+            policy,
+            enter=config.overload_enter,
+            exit_=config.overload_exit,
+            dwell=config.overload_dwell,
+            num_classes=self.num_classes,
+            rng=self._plane_rng,
+        )
 
     @property
     def paths(self) -> List[SignalingPath]:
-        """Every route's signaling path, in route-creation order."""
+        """Every route's signaling path, in route order."""
         return [route.path for route in self.routes]
 
     def _new_fleet(
@@ -564,8 +679,18 @@ class RcbrGateway:
         self._teardown(key, call_id, self.engine.now)
 
     def _select_route(self, group: int) -> Route:
-        """An entering call's route, chosen before the CAC (classic: fixed)."""
-        return self.routes[0]
+        """An entering call's route, chosen before the CAC: of its flow
+        group's candidates, the one with the most bottleneck headroom,
+        the first winning ties (as
+        :meth:`~repro.signaling.topology.SignalingNetwork.select_route`
+        picks)."""
+        candidates = self._candidates[group]
+        if len(candidates) == 1:
+            return candidates[0]
+        return max(
+            candidates,
+            key=lambda route: min(port.headroom for port in route.ports),
+        )
 
     def _bind(self, group: int, slot, call_id, route: Route):
         """Bind fleet-admitted calls (one, or a vector of classic ones)
@@ -931,41 +1056,6 @@ class RcbrGateway:
         return np.array([grant for grant, _ in outcomes]), sum(f for _, f in outcomes)
 
     # ------------------------------------------------------------------
-    # Overload-plane actions (called by repro.overload policies)
-    # ------------------------------------------------------------------
-    def overload_pressure(self) -> float:
-        """Current link pressure: max(allocated, demand) / capacity."""
-        return (
-            max(self.link.allocated, self.link.total_demand)
-            / self.link.capacity
-        )
-
-    def overload_shrink_class(
-        self, call_class: int, ratio: float, now: float
-    ) -> int:
-        """Shrink every active call of ``call_class`` by ``ratio`` (see
-        :meth:`_shrink_call`), freeing link bandwidth immediately.  Walks
-        pool slots in ascending order (determinism).  Returns calls
-        actually shrunk."""
-        fleet = self.fleet
-        slots = np.flatnonzero(fleet.active & (fleet.call_class == call_class))
-        return sum(
-            self._shrink_call(slot, ratio, now) for slot in slots.tolist()
-        )
-
-    def overload_evict(self, slot: int, now: float) -> "tuple[int, int, float]":
-        """Tear one call out of service on the plane's orders (see
-        :meth:`_evict_call`)."""
-        return self._evict_call(slot, now)
-
-    def overload_readmit(
-        self, entry: "tuple[int, int, float]", now: float
-    ) -> int:
-        """Put a sacrificed call back in service (see :meth:`_readmit`)."""
-        call_class, shift, remaining = entry
-        return self._readmit(0, call_class, shift, remaining, now)
-
-    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def _take_snapshot(self, time: float) -> ServerSnapshot:
@@ -1049,12 +1139,13 @@ class RcbrGateway:
         return allocated / delivered
 
     def _network_section(self) -> Optional[Dict[str, object]]:
-        """The fingerprinted multi-bottleneck payload (per-link and
-        per-flow-group state).  None on the single-link runtime, which
+        """The fingerprinted route-graph payload (per-link and
+        per-flow-group state).  None on a config-compiled topology, which
         keeps classic snapshot streams byte-identical — the same
-        omission rule as the ``overload`` section.  The scenario
-        runtime overrides this."""
-        return None
+        omission rule as the ``overload`` section."""
+        if self._graph is None:
+            return None
+        return network_section(self._graph, self)
 
     def _overload_section(self) -> Dict[str, object]:
         """The fingerprinted per-snapshot overload payload: plane state,
@@ -1348,6 +1439,9 @@ class RcbrGateway:
             "ports": [port.state_dict() for port in self.ports],
             "paths": [path.state_dict() for path in self.paths],
             "bindings": [self._route_of, self._vci_of],
+            "net_slots": (
+                None if self._net_slots is None else self._net_slots.state_dict()
+            ),
             "faults": (
                 self.faults.state_dict() if self.faults is not None else None
             ),
@@ -1361,6 +1455,7 @@ class RcbrGateway:
                 "arrival": self._arrival_rng.bit_generator.state,
                 "call": self._call_rng.bit_generator.state,
                 "overload": self._overload_rng.bit_generator.state,
+                "plane": self._plane_rng.bit_generator.state,
             },
             "next_call_id": self._peek_call_ids(),
             "counters": {
@@ -1420,6 +1515,8 @@ class RcbrGateway:
         routes, vcis = state["bindings"]  # type: ignore[misc]
         self._route_of = [np.array(column) for column in routes]
         self._vci_of = [np.array(column) for column in vcis]
+        if self._net_slots is not None:
+            self._net_slots.load_state(state["net_slots"])  # type: ignore[arg-type]
         faults_state = state["faults"]
         if (faults_state is None) != (self.faults is None):
             raise ValueError(
@@ -1443,6 +1540,7 @@ class RcbrGateway:
         self._arrival_rng.bit_generator.state = rng_states["arrival"]  # type: ignore[index]
         self._call_rng.bit_generator.state = rng_states["call"]  # type: ignore[index]
         self._overload_rng.bit_generator.state = rng_states["overload"]  # type: ignore[index]
+        self._plane_rng.bit_generator.state = rng_states["plane"]  # type: ignore[index]
         self._call_ids = itertools.count(int(state["next_call_id"]))  # type: ignore[arg-type]
         events = self.engine.load_state(
             state["engine"],

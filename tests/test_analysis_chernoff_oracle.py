@@ -20,6 +20,7 @@ peak and can fail, the kernel takes the peak over the support.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +47,28 @@ def outcome(function, *args):
     return np.float64(value).tobytes()
 
 
+_GOLDEN_RATE = golden.rate_function
+
+
+def _golden_rate_at_the_mean(levels, probs, capacity_per_call):
+    """The golden rate function, except where brentq's bracket fails
+    because ``c`` lies above ``levels @ probs`` but at or below the tilted
+    mean at theta = 0: there theta* = 0 and the exact rate is 0, which
+    the kernel returns (the golden module raises)."""
+    try:
+        return _GOLDEN_RATE(levels, probs, capacity_per_call)
+    except ValueError as error:
+        if "different signs" not in str(error):
+            raise
+        levels, probs = golden._validated(levels, probs)
+        if float(capacity_per_call) <= float((probs @ levels) / probs.sum()):
+            return 0.0
+        raise
+
+
 def assert_same(name, *args):
-    want = outcome(getattr(golden, name), *args)
+    with mock.patch.object(golden, "rate_function", _golden_rate_at_the_mean):
+        want = outcome(getattr(golden, name), *args)
     got = outcome(getattr(chernoff, name), *args)
     assert got == want, (name, args, want, got)
 
@@ -200,6 +221,42 @@ def test_seeded_corpus_matches():
         for target in boundary_targets(levels, probs, capacity, 60):
             assert_same("max_admissible_calls", levels, probs, capacity, target)
 
+
+class TestRateAtTheMean:
+    """A per-call capacity just above ``levels @ probs`` but at or below
+    the tilted mean at theta = 0 has rate 0, not a brentq bracket error."""
+
+    LEVELS = [1, 2, 3, 7, 10, 17, 27, 30, 35, 36]
+    PROBS = [
+        0.943006272690257, 0.9689264863063872, 0.32764945413198066,
+        0.7083458703669923, 0.5084046609907297, 0.9787623649000355,
+        0.5912992803747523, 0.40003016051282647, 0.03375555542247022,
+        0.7289475620574137,
+    ]
+
+    def test_repro_overload_probability(self):
+        with pytest.raises(ValueError, match="different signs"):
+            golden.overload_probability(self.LEVELS, self.PROBS, 3, 41.65438920604122)
+        assert chernoff.overload_probability(
+            self.LEVELS, self.PROBS, 3, 41.65438920604122
+        ) == 1.0
+
+    def test_seeded_probe_one_ulp_above_the_mean(self):
+        rng = np.random.default_rng(20261018)
+        hits = 0
+        for _ in range(4000):
+            levels = np.unique(np.round(rng.uniform(0.0, 40.0, int(rng.integers(2, 12)))))
+            if levels.size < 2:
+                continue
+            raw = rng.uniform(0.0, 1.0, levels.size)
+            _, probs = chernoff._validated(levels, raw)
+            c = float(np.nextafter(float(levels @ probs), math.inf))
+            if float((probs @ levels) / probs.sum()) > c:
+                hits += 1
+                assert chernoff.rate_function(levels, raw, c) == 0.0
+            assert_same("rate_function", levels, raw, c)
+            assert_same("overload_probability", levels, raw, 4, 4 * c)
+        assert hits > 0
 
 class TestZeroMassPeak:
     """A level with no mass above the support never sets the peak."""

@@ -1,20 +1,23 @@
-"""One construction step per topology shape.
+"""One construction call for both topology inputs.
 
-Each gateway builds its topology exactly once: the classic gateway its
-one fleet, link, port chain, signaling path and (unless the policy is
-block) whole-gateway overload plane, with the one route record over
-them; the scenario gateway one fleet per flow group, one link per link
-spec, one overload plane per link and one route record (with its
-signaling path) per distinct route, created when a call first selects
-it.  Nothing is built and then thrown away.
+A gateway builds its topology exactly once, when it is constructed: a
+config its one fleet, link, port chain, signaling path and one route
+over them; a route graph one fleet per flow group, one link per link
+spec and, per flow group in flow order, a route record (with its
+signaling path) for each of its ``route_k`` shortest routes.  Either
+way every link gets one overload plane (unless the policy is block),
+each driving a :class:`LinkScopedOverloadAgent`.  Nothing is built and
+then thrown away, and a restore builds nothing.
 """
 
 import pytest
 
+from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
-from repro.scenarios import ScenarioGateway, ScenarioHarness, get_scenario
-from repro.server import ServerConfig, build_gateway
+from repro.scenarios import ScenarioHarness, get_scenario
+from repro.server import RcbrGateway, ServerConfig, build_gateway
 from repro.signaling.network import SignalingPath
+from repro.signaling.topology import SignalingNetwork
 from repro.traffic.starwars import generate_starwars_trace
 
 
@@ -41,38 +44,75 @@ def bound_routes(gateway):
     ]
 
 
-def downgrade_parking_lot():
-    return get_scenario("parking-lot", duration=2.0, snapshot_every=1.0).replace(
-        overload_policy="downgrade"
-    )
+def downgrade_ring():
+    """The 7-node ring with two candidate routes per flow group."""
+    return get_scenario(
+        "hotspot-collision", duration=2.0, snapshot_every=1.0, route_k=2
+    ).replace(overload_policy="downgrade")
 
 
-class TestScenarioConstruction:
-    def test_one_plane_per_link_and_no_path(self, monkeypatch):
+def expected_candidates(spec):
+    """Each flow's ``route_k`` shortest routes, in flow order, as node
+    tuples: what the gateway must build."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    for link in spec.links:
+        graph.add_edge(link.u, link.v, capacity=link.capacity)
+    network = SignalingNetwork(graph)
+    return [
+        [
+            tuple(nodes)
+            for nodes in network.k_shortest_paths(
+                flow.source,
+                flow.target,
+                flow.route_k if flow.route_k is not None else spec.route_k,
+            )
+        ]
+        for flow in spec.flows
+    ]
+
+
+class TestGraphConstruction:
+    def test_one_plane_per_link_each_on_its_agent(self, monkeypatch):
         planes = record_constructions(monkeypatch, OverloadControlPlane)
-        paths = record_constructions(monkeypatch, SignalingPath)
-        spec = downgrade_parking_lot()
-        with ScenarioGateway(spec) as gateway:
+        spec = downgrade_ring()
+        with ScenarioHarness(spec) as harness:
+            gateway = harness.gateway
+            assert type(gateway) is RcbrGateway
             assert len(planes) == len(spec.links)
-            assert paths == []
             assert gateway.link_planes == planes
-            assert gateway.paths == []
+            for index, plane in enumerate(planes):
+                assert isinstance(plane.gateway, LinkScopedOverloadAgent)
+                assert plane.gateway.link is gateway.links[index]
             assert gateway.overload_plane is None
 
-    def test_paths_are_built_once_per_route(self, monkeypatch):
+    def test_routes_are_each_flows_candidates_in_flow_order(self, monkeypatch):
         paths = record_constructions(monkeypatch, SignalingPath)
-        with ScenarioGateway(downgrade_parking_lot()) as gateway:
-            gateway.run(2.0)
-            bound = {route.nodes for route in bound_routes(gateway)}
-            assert gateway.paths == paths
-            assert len(paths) == len(gateway.routes) >= len(bound) > 1
+        spec = downgrade_ring()
+        expected = expected_candidates(spec)
+        with ScenarioHarness(spec) as harness:
+            gateway = harness.gateway
+            candidates = [
+                [route.nodes for route in group] for group in gateway._candidates
+            ]
+            assert candidates == expected
+            assert all(len(group) == 2 for group in candidates)
+            distinct = list(dict.fromkeys(n for group in expected for n in group))
+            assert [route.nodes for route in gateway.routes] == distinct
             assert [route.index for route in gateway.routes] == list(
                 range(len(gateway.routes))
             )
+            assert gateway.paths == paths
+            # Built once, at construction: serving builds nothing more.
+            harness.run()
+            assert gateway.paths == paths
+            bound = {route.nodes for route in bound_routes(gateway)}
+            assert len(bound) > 1
 
-    def test_restore_recreates_the_routes_in_creation_order(self, tmp_path):
-        path = tmp_path / "lot.ckpt"
-        spec = downgrade_parking_lot()
+    def test_restore_builds_no_route(self, monkeypatch, tmp_path):
+        path = tmp_path / "ring.ckpt"
+        spec = downgrade_ring()
         with ScenarioHarness(spec) as first:
             first.run(duration=1.0)
             first.save(path)
@@ -80,8 +120,10 @@ class TestScenarioConstruction:
             bound = [route.nodes for route in bound_routes(first.gateway)]
         assert bound
         with ScenarioHarness(spec) as resumed:
+            paths = record_constructions(monkeypatch, SignalingPath)
             resumed.restore(path)
             gateway = resumed.gateway
+            assert paths == []
             assert [route.nodes for route in gateway.routes] == routes
             assert [route.nodes for route in bound_routes(gateway)] == bound
 
@@ -99,6 +141,7 @@ def test_classic_builds_one_path_and_at_most_one_plane(monkeypatch, policy):
     with build_gateway(workload, config) as gateway:
         assert paths == [gateway.path] == gateway.paths
         (route,) = gateway.routes
+        assert gateway._candidates == [[route]]
         assert route.path is gateway.path
         assert route.links == (gateway.link,)
         assert list(route.ports) == gateway.ports
@@ -106,3 +149,6 @@ def test_classic_builds_one_path_and_at_most_one_plane(monkeypatch, policy):
         assert gateway.links == [gateway.link]
         assert gateway.link_planes == [gateway.overload_plane]
         assert planes == ([] if policy == "block" else [gateway.overload_plane])
+        for plane in planes:
+            assert isinstance(plane.gateway, LinkScopedOverloadAgent)
+            assert plane.gateway.link is gateway.link

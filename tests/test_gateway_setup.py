@@ -1,13 +1,12 @@
-"""Call setup, written once for both gateways.
+"""Call setup, written once for both topology inputs.
 
 The admission decision, install, preload, readmission, the per-group
 arrival process and background cross-traffic live in
 :class:`repro.server.gateway.RcbrGateway`, over the same route seam as
-the rest of the call lifecycle; the scenario gateway overrides only
-route selection and binding.  These
-tests pin what that fold must keep: the classic per-group ledger, the
-fingerprint and kill-and-resume of background on more than one link,
-and checkpoints taken with arrival events pending.
+the rest of the call lifecycle, and every scenario runs on that one
+class.  These tests pin what that fold must keep: the classic
+per-group ledger, the fingerprint and kill-and-resume of background on
+more than one link, and checkpoints taken with arrival events pending.
 """
 
 import dataclasses
@@ -17,8 +16,8 @@ import pytest
 from repro.scenarios import (
     BackgroundSpec,
     FlowGroupSpec,
+    SCENARIO_NAMES,
     LinkSpec,
-    ScenarioGateway,
     ScenarioHarness,
     ScenarioSpec,
     get_scenario,
@@ -136,29 +135,23 @@ class TestClassicGroupLedger:
 
 
 class TestOneSetupPath:
-    def test_scenario_gateway_overrides_only_the_setup_seams(self):
-        own = set(vars(ScenarioGateway))
-        assert "_select_route" in own
-        assert not own & {
-            "_bind",
-            "_route",
-            "_unbind",
-            "_step_epoch",
-            "_poll_link_planes",
-            "_issue_group_epoch",
-            "_issue_epoch",
-            "_complete_batch",
-            "link_member_mask",
-            "_offer",
-            "preload",
-            "_admit_batch",
-            "_install_call",
-            "_readmit",
-            "_handle_arrival",
-            "_schedule_arrival",
-            "EVENT_CALLBACK_ALLOWLIST",
-            "EVENT_ARG_CODECS",
-        }
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_roster_spec_runs_on_the_one_gateway_class(self, name):
+        with ScenarioHarness(get_scenario(name)) as harness:
+            assert type(harness.gateway) is RcbrGateway
+
+    def test_the_runtime_defines_no_gateway_subclass(self):
+        import inspect
+
+        import repro.scenarios.runtime as runtime
+
+        assert not [
+            value
+            for value in vars(runtime).values()
+            if inspect.isclass(value)
+            and issubclass(value, RcbrGateway)
+            and value is not RcbrGateway
+        ]
 
     def test_the_per_call_binding_record_is_gone(self):
         import repro.server.topology as topology

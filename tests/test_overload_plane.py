@@ -21,6 +21,7 @@ from repro.overload import (
     SacrificePolicy,
     make_overload_policy,
 )
+from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.perf.sweeps import overload_cell
 from repro.queueing.fluid import simulate_downgrade_fluid
 from repro.server import RcbrGateway, ServerConfig, serve
@@ -47,11 +48,14 @@ def saturated_config(workload, **overrides):
 
 def fake_gateway(capacity=100.0):
     """A pressure source the plane can poll without a full gateway: a
-    link whose fields the tests set, read through the gateway
-    protocol's ``overload_pressure`` exactly as ``RcbrGateway`` does."""
+    link whose fields the tests set, read through the agent protocol's
+    ``overload_pressure`` exactly as :class:`LinkScopedOverloadAgent`
+    does."""
     link = SimpleNamespace(allocated=0.0, total_demand=0.0, capacity=capacity)
     gateway = SimpleNamespace(link=link, fleet=None)
-    gateway.overload_pressure = partial(RcbrGateway.overload_pressure, gateway)
+    gateway.overload_pressure = partial(
+        LinkScopedOverloadAgent.overload_pressure, gateway
+    )
     return gateway
 
 
@@ -281,7 +285,8 @@ class TestGatewayActions:
             & (gateway.fleet.call_class == target)
         )
         old_rates = gateway.fleet.rate[slots].copy()
-        shrunk = gateway.overload_shrink_class(target, 0.5, 0.0)
+        agent = LinkScopedOverloadAgent(gateway, 0)
+        shrunk = agent.overload_shrink_class(target, 0.5, 0.0)
         assert shrunk > 0
         assert gateway.link.allocated < before
         assert np.all(gateway.fleet.rate[slots] <= old_rates)
@@ -296,13 +301,15 @@ class TestGatewayActions:
         gateway.preload()
         active_before = int(gateway.fleet.active.sum())
         slot = int(np.flatnonzero(gateway.fleet.active)[0])
-        entry = gateway.overload_evict(slot, 1.0)
+        agent = LinkScopedOverloadAgent(gateway, 0)
+        entry = agent.overload_evict(slot, 1.0)
         assert int(gateway.fleet.active.sum()) == active_before - 1
         assert gateway.departed == 1
         assert gateway.abandoned == 1
-        call_class, shift, remaining = entry
+        call_class, shift, remaining, group = entry
         assert remaining > 0.0
-        gateway.overload_readmit(entry, 2.0)
+        assert group == 0
+        agent.overload_readmit(entry, 2.0)
         assert int(gateway.fleet.active.sum()) == active_before
         assert gateway.arrivals == gateway.blocked + gateway.admitted
         assert gateway.offered.consistent()

@@ -58,6 +58,18 @@ def hot_spec(policy, controller="always"):
     )
 
 
+def engaged_spec(policy):
+    """:func:`hot_spec` run long enough for its plane to act both ways:
+    at the 10 s default a sacrificed call is not yet readmitted, by
+    30 s readmissions have run through the per-link agent."""
+    spec = hot_spec(policy)
+    return spec.replace(duration=30.0) if policy == "sacrifice" else spec
+
+
+def readmitted(result):
+    return sum(link["overload"]["readmitted"] for link in result.links.values())
+
+
 def resume_drill(spec, shards=0, faults=None, stop_fraction=0.4):
     """run(T); save-at-boundary; fresh harness; restore; run the rest.
 
@@ -175,7 +187,7 @@ class TestCheckpointResume:
 class TestOverloadEverywhere:
     @pytest.mark.parametrize("policy", ["downgrade", "sacrifice"])
     def test_hot_chain_engages_per_link_planes(self, policy):
-        result = run_scenario(hot_spec(policy))
+        result = run_scenario(engaged_spec(policy))
         hot = result.links["a~b"]["overload"]
         assert hot["policy"] == policy
         assert hot["entries"] > 0
@@ -183,26 +195,26 @@ class TestOverloadEverywhere:
             assert hot["escalations"] > 0
         else:
             assert hot["sacrificed"] > 0
+            assert readmitted(result) > 0
 
     @pytest.mark.parametrize("policy", ["downgrade", "sacrifice"])
     def test_hot_chain_deterministic_and_shard_parity(self, policy):
-        spec = hot_spec(policy)
+        spec = engaged_spec(policy)
         first = run_scenario(spec)
         second = run_scenario(spec)
         sharded = run_scenario(spec, shards=2)
         assert first.fingerprint == second.fingerprint
         assert first.fingerprint == sharded.fingerprint
+        if policy == "sacrifice":
+            assert readmitted(first) > 0
+            assert readmitted(sharded) > 0
 
     @pytest.mark.parametrize("policy", ["downgrade", "sacrifice"])
     def test_hot_chain_resume_under_active_overload(self, policy):
-        spec = hot_spec(policy)
+        spec = engaged_spec(policy)
         if policy == "sacrifice":
-            # At the 10 s default no sacrificed call is readmitted yet;
-            # by 30 s the drill crosses readmissions on both sides of
-            # the save.
-            spec = spec.replace(duration=30.0)
-            links = run_scenario(spec).links.values()
-            assert sum(link["overload"]["readmitted"] for link in links) > 0
+            # The drill crosses readmissions on both sides of the save.
+            assert readmitted(run_scenario(spec)) > 0
         ref, resumed = resume_drill(spec, stop_fraction=0.5)
         assert resumed == ref
 

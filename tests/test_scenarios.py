@@ -115,6 +115,31 @@ class TestSpecValidation:
             == "memory"
         )
 
+    def test_num_hops_is_single_bottleneck_only(self):
+        assert ScenarioSpec(**spec_kwargs(num_hops=3)).num_hops == 3
+        multi = spec_kwargs(
+            links=(LinkSpec("a", "b", 4e6), LinkSpec("b", "c", 4e6)),
+            flows=(FlowGroupSpec("calls", "a", "c", initial_calls=2),),
+        )
+        with pytest.raises(ValueError, match="num_hops"):
+            ScenarioSpec(**dict(multi, num_hops=2))
+        with pytest.raises(ValueError, match="num_hops"):
+            get_scenario("parking-lot").replace(num_hops=3)
+
+    def test_server_config_per_shape(self):
+        single = ScenarioSpec(
+            **spec_kwargs(
+                num_hops=3,
+                flows=(FlowGroupSpec("calls", "a", "b", load=0.7, initial_calls=2),),
+            )
+        ).server_config(shards=2)
+        assert (single.capacity, single.load, single.initial_calls) == (4e6, 0.7, 2)
+        assert (single.num_hops, single.shards) == (3, 2)
+        lot = get_scenario("parking-lot")
+        graph = lot.server_config()
+        assert graph.capacity == lot.total_capacity
+        assert (graph.load, graph.initial_calls, graph.num_hops) == (0.0, 0, 1)
+
     def test_replace_revalidates(self):
         spec = ScenarioSpec(**spec_kwargs())
         assert spec.replace(seed=9).seed == 9

@@ -384,8 +384,13 @@ class TestStaleness:
     def test_schema_seven_payload_is_refused(self, workload, tmp_path):
         # Schema 7 carried one ``_complete`` event per scenario
         # renegotiation and the scenario gateway's bindings list.
-        assert CHECKPOINT_SCHEMA == 8
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 7)
+
+    def test_schema_eight_payload_is_refused(self, workload, tmp_path):
+        # Schema 8 carried a ``scenario`` section: the lazily created
+        # route list, the path stream and the network slots.
+        assert CHECKPOINT_SCHEMA == 9
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 8)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
