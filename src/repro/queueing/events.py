@@ -4,7 +4,11 @@ The call-level admission-control simulator (:mod:`repro.admission.callsim`)
 and the signaling network (:mod:`repro.signaling`) are event-driven: call
 arrivals, departures, and renegotiation instants are events on a shared
 clock.  This engine is a conventional heap-based scheduler with stable
-FIFO ordering for simultaneous events and cancellable handles.
+FIFO ordering for simultaneous events and cancellable handles.  A caller
+that keeps far-future events off the heap (the service gateway's
+departure calendar) reserves their sequence numbers when it arms them
+and pushes them later under those numbers, so they fire exactly where
+an immediate ``schedule_at`` would have put them.
 """
 
 from __future__ import annotations
@@ -12,10 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
 
 
 class Event:
@@ -73,11 +74,32 @@ class EventScheduler:
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
+        return self.schedule_reserved(time, next(self._counter), callback, *args)
+
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers, exactly as ``count``
+        :meth:`schedule_at` calls would, and return the first.
+
+        An event scheduled later under one of them
+        (:meth:`schedule_reserved`) fires where that ``schedule_at``'s
+        event would have: after every earlier-sequenced event of its
+        timestamp.  ``reserve(0)`` reads the next sequence number without
+        taking it.
+        """
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
+
+    def schedule_reserved(
+        self, time: float, sequence: int, callback: Callable[..., Any], *args: Any
+    ) -> Event:
+        """Schedule ``callback(*args)`` at ``time`` under a ``sequence``
+        number taken earlier by :meth:`reserve`."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past (now={self._now}, requested={time})"
             )
-        event = Event(time, next(self._counter), callback, args)
+        event = Event(time, sequence, callback, args)
         heapq.heappush(self._queue, event)
         return event
 
@@ -154,9 +176,7 @@ class EventScheduler:
 
     # -- checkpointing --------------------------------------------------
     def state_dict(
-        self,
-        encode_callback: Callable[[Callable[..., Any]], Any],
-        encode_args: Callable[..., Any],
+        self, encode_callback: Callable[[Callable[..., Any]], Any]
     ) -> Dict[str, Any]:
         """Export the full scheduler state for a checkpoint.
 
@@ -164,94 +184,43 @@ class EventScheduler:
         cannot be serialized directly; ``encode_callback`` maps each one
         to a picklable token (the gateway uses the method name, checked
         against an allowlist).  Event args must already be plain data.
-
-        The export is columnar — times/sequences/cancelled as arrays,
-        one small token code per event — because a large service has one
-        pending departure per call and a Python tuple per event would
-        dominate checkpoint latency.  Every per-event pass is C-driven
-        (``map`` + ``attrgetter``); ``encode_callback`` runs once per
-        distinct underlying function, not once per event.
-        ``encode_args(token_table, token_codes, args_list)`` packs the
-        whole heap's argument tuples into arrays; the symmetric
-        ``decode_args`` unpacks.
-
-        Reading the sequence counter consumes one value, so it is
-        recreated from the observed value — a net no-op: the next
-        ``schedule_at`` sees exactly the sequence it would have.
+        Each event is one ``(time, sequence, token, args, cancelled)``
+        tuple, in heap order.
         """
-        next_sequence = next(self._counter)
-        self._counter = itertools.count(next_sequence)
-        events = self._queue
-        count = len(events)
-        times = np.fromiter(
-            map(attrgetter("time"), events), dtype=np.float64, count=count
-        )
-        sequences = np.fromiter(
-            map(attrgetter("sequence"), events), dtype=np.int64, count=count
-        )
-        cancelled = np.fromiter(
-            map(attrgetter("cancelled"), events), dtype=np.bool_, count=count
-        )
-        callbacks = list(map(attrgetter("callback"), events))
-        try:
-            # Bound methods are created fresh at each schedule_at; the
-            # underlying function object is the stable identity.
-            keys = list(map(attrgetter("__func__"), callbacks))
-        except AttributeError:
-            keys = callbacks
-        representative = dict(zip(keys, callbacks))
-        code_of: Dict[Any, int] = {}
-        token_table: List[Any] = []
-        for key, callback in representative.items():
-            code_of[key] = len(token_table)
-            token_table.append(encode_callback(callback))
-        token_codes = np.fromiter(
-            map(code_of.__getitem__, keys), dtype=np.uint16, count=count
-        )
-        args_list = list(map(attrgetter("args"), events))
         return {
             "now": self._now,
             "processed": self._processed,
-            "next_sequence": next_sequence,
-            "times": times,
-            "sequences": sequences,
-            "cancelled": cancelled,
-            "token_table": token_table,
-            "token_codes": token_codes,
-            "args": encode_args(token_table, token_codes, args_list),
+            "next_sequence": self.reserve(0),
+            "events": [
+                (
+                    event.time,
+                    event.sequence,
+                    encode_callback(event.callback),
+                    event.args,
+                    event.cancelled,
+                )
+                for event in self._queue
+            ],
         }
 
     def load_state(
         self,
         state: Dict[str, Any],
         decode_callback: Callable[[Any], Callable[..., Any]],
-        decode_args: Callable[..., List[tuple]],
     ) -> List[Event]:
         """Restore a :meth:`state_dict` export; returns the live events.
 
         The returned list lets the caller rebuild side indexes into the
-        heap (the gateway's pending-departure map keys call ids to the
-        very :class:`Event` objects it may later cancel).
+        heap (the gateway keys its pending departures to the very
+        :class:`Event` objects it may later cancel).
         """
         self._now = float(state["now"])
         self._processed = int(state["processed"])
         self._counter = itertools.count(int(state["next_sequence"]))
-        token_table = list(state["token_table"])
-        callbacks = [decode_callback(token) for token in token_table]
-        codes = state["token_codes"]
-        args_list = decode_args(token_table, codes, state["args"])
-        times = state["times"]
-        sequences = state["sequences"]
-        cancelled = state["cancelled"]
         self._queue = []
-        for index in range(len(times)):
-            event = Event(
-                float(times[index]),
-                int(sequences[index]),
-                callbacks[int(codes[index])],
-                tuple(args_list[index]),
-            )
-            event.cancelled = bool(cancelled[index])
+        for time, sequence, token, args, cancelled in state["events"]:
+            event = Event(time, sequence, decode_callback(token), args)
+            event.cancelled = cancelled
             self._queue.append(event)
         # The export preserved heap order, but heapify anyway: the
         # invariant is cheap to re-establish and load-bearing.

@@ -83,7 +83,11 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: the ``scenario`` section is gone (no route list, no path stream) and
 #: the base export carries the interned network slots and the plane
 #: stream.
-CHECKPOINT_SCHEMA = 9
+#: Schema 10: a live call's departure is two per-group binding columns
+#: (time and event sequence) plus the promoted horizon; only promoted
+#: departures are heap events, and the heap exports one plain tuple per
+#: event (no columnar arg codec).
+CHECKPOINT_SCHEMA = 10
 
 
 class CheckpointError(RuntimeError):

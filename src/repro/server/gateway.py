@@ -15,7 +15,12 @@ and bits lost.
 The loop is a hybrid: per-epoch vector stepping for the data plane (one
 numpy pass over all active calls per slot — the 50k-call hot path) and a
 conventional event heap for the control plane (arrivals, departures,
-abandonments, renegotiation round-trips).  Event ordering per epoch
+abandonments, renegotiation round-trips).  A departure is two binding
+columns (its time and the event sequence number it took when armed)
+and waits in a per-epoch calendar bucket until its epoch is near; each
+drain first promotes the buckets up to one epoch past it onto the heap
+(:meth:`RcbrGateway._drain`), so the heap holds arrivals, completions
+and the near horizon, not one event per call.  Event ordering per epoch
 ``k``::
 
     1. drain the heap up to t = k * slot   (arrivals, departures, and
@@ -173,15 +178,6 @@ class RcbrGateway:
         {"_handle_arrival", "_handle_departure", "_complete_batch"}
     )
 
-    #: Scalar argument signatures for checkpoint arg packing: these
-    #: events' args round-trip through one float64 matrix per callback
-    #: (every value is exactly representable), restored with the
-    #: original types below.
-    EVENT_ARG_CODECS: Dict[str, tuple] = {
-        "_handle_arrival": (int,),
-        "_handle_departure": (int, int),
-    }
-
     def __init__(
         self,
         workload: Optional[SlottedWorkload],
@@ -255,7 +251,13 @@ class RcbrGateway:
         self.identity_stamps: Dict[str, object] = {}
 
         self._call_ids = itertools.count()
-        self._departure_events: Dict[int, Event] = {}
+        # The departure calendar (see :meth:`_arm_departure`): per epoch
+        # beyond the promoted horizon, the event keys of the departures
+        # armed into it; the promoted departures' events by key; and the
+        # last promoted epoch.
+        self._calendar: Dict[int, List[int]] = {}
+        self._promoted: Dict[int, Event] = {}
+        self._promoted_through = -1
 
         # Service classes + class-aware offered-load accounting: classes
         # are drawn from the dedicated overload stream, so the legacy
@@ -294,7 +296,6 @@ class RcbrGateway:
 
         self._next_tick = 0
         self._preloaded = False
-        self._encode_callback_cache: Dict[object, str] = {}
 
         # The topology, built once from either input as the plain lists
         # the snapshot, report, checkpoint and close fold over:
@@ -332,9 +333,12 @@ class RcbrGateway:
         self.overload_plane = self.link_planes[0] if graph is None else None
         self.group_stats = [GroupStats() for _ in self._fleets]
         # A call's binding, per flow group and pool slot: its route's
-        # index and the handle (vci) it reserves under on that route.
+        # index and the handle (vci) it reserves under on that route,
+        # then its departure's time and event sequence number.
         self._route_of = [np.zeros(f.capacity, dtype=np.int64) for f in self._fleets]
         self._vci_of = [np.zeros(f.capacity, dtype=np.int64) for f in self._fleets]
+        self._depart_at = [np.zeros(f.capacity) for f in self._fleets]
+        self._depart_seq = [np.zeros(f.capacity, dtype=np.int64) for f in self._fleets]
 
     # ------------------------------------------------------------------
     # Construction
@@ -575,9 +579,7 @@ class RcbrGateway:
         self.admitted += 1
         self.group_stats[group].admitted += 1
         self.offered.on_admitted(call_class)
-        self._departure_events[call_id] = self.engine.schedule_at(
-            now + holding, self._handle_departure, key, call_id
-        )
+        self._arm_departure(key, call_id, now + holding)
         return call_id
 
     def _readmit(
@@ -652,13 +654,7 @@ class RcbrGateway:
         self.admitted += count
         stats.admitted += count
         self.offered.record_batch("admitted", classes)
-        schedule_at = self.engine.schedule_at
-        departure = self._handle_departure
-        events = self._departure_events
-        for slot, call_id, holding in zip(slots.tolist(), call_ids, holdings):
-            events[call_id] = schedule_at(
-                now + holding, departure, slot, call_id
-            )
+        self._arm_departures(0, slots, now + np.array(holdings))
 
     def _handle_arrival(self, group: int) -> None:
         self._offer(group, self.engine.now)
@@ -675,8 +671,100 @@ class RcbrGateway:
         group, slot = divmod(key, GROUP_STRIDE)
         if self._fleets[group].call_id[slot] != call_id:
             return  # stale event: the call already left this pool slot
-        self._departure_events.pop(call_id, None)
+        del self._promoted[key]
         self._teardown(key, call_id, self.engine.now)
+
+    # ------------------------------------------------------------------
+    # The departure calendar
+    # ------------------------------------------------------------------
+    def _arm_departure(self, key: int, call_id: int, time: float) -> None:
+        """Arm the departure of the call at event key ``key`` for
+        ``time``.
+
+        The call takes its event sequence number now, exactly as an
+        immediate ``schedule_at`` would, and the time and sequence go in
+        its group's departure columns.  The heap event exists only once
+        the departure's epoch is promoted: armed inside the promoted
+        horizon it goes straight onto the heap, beyond it into that
+        epoch's calendar bucket, which :meth:`_drain` promotes before
+        the heap reaches it.  Either way it fires in exact ``(time,
+        sequence)`` order among arrivals and completions.
+        """
+        group, slot = divmod(key, GROUP_STRIDE)
+        epoch = math.floor(time / self.workload.slot_duration)
+        if epoch <= self._promoted_through:
+            event = self.engine.schedule_at(
+                time, self._handle_departure, key, call_id
+            )
+            self._promoted[key] = event
+            sequence = event.sequence
+        else:
+            sequence = self.engine.reserve(1)
+            self._calendar.setdefault(epoch, []).append(key)
+        self._depart_at[group][slot] = time
+        self._depart_seq[group][slot] = sequence
+
+    def _arm_departures(self, group: int, slots: np.ndarray, times: np.ndarray) -> None:
+        """:meth:`_arm_departure` for a vector of one group's calls, in
+        slot-vector order: one reserved sequence range, two column
+        writes and the calendar filed by epoch.  Only the preload arms
+        a batch, before the first drain, so every epoch lies beyond the
+        promoted horizon."""
+        first = self.engine.reserve(int(slots.size))
+        self._depart_at[group][slots] = times
+        self._depart_seq[group][slots] = np.arange(first, first + slots.size)
+        self._file_departures(slots + group * GROUP_STRIDE, times)
+
+    def _file_departures(self, keys: np.ndarray, times: np.ndarray) -> None:
+        """Append departures beyond the promoted horizon to their epochs'
+        calendar buckets: one sort by epoch, one slice per epoch."""
+        epochs = np.floor(times / self.workload.slot_duration).astype(np.int64)
+        order = np.argsort(epochs, kind="stable")
+        epochs = epochs[order]
+        keys = keys[order].tolist()
+        # Times are non-negative, so the -1 makes position 0 a start.
+        starts = np.flatnonzero(np.diff(epochs, prepend=-1)).tolist()
+        calendar = self._calendar
+        for epoch, start, stop in zip(
+            epochs[starts].tolist(), starts, starts[1:] + [len(keys)]
+        ):
+            calendar.setdefault(epoch, []).extend(keys[start:stop])
+
+    def _drain(self, until: float) -> None:
+        """Run the heap up to ``until``, first promoting every calendar
+        bucket up to one epoch past it.
+
+        A bucket may still list a call that left early (abandonment,
+        eviction) or whose slot a later call took; only a slot's live
+        departure whose epoch is among those promoted now goes on the
+        heap, once, under its stored time and sequence, in ``(time,
+        sequence)`` order so the heap's layout is the same however the
+        departures were armed.
+        """
+        slot_duration = self.workload.slot_duration
+        horizon = math.floor(until / slot_duration) + 1
+        promoted = self._promoted_through
+        if horizon > promoted:
+            due = []
+            for epoch in range(promoted + 1, horizon + 1):
+                due.extend(self._calendar.pop(epoch, ()))
+            self._promoted_through = horizon
+            entries = []
+            for key in set(due):
+                group, slot = divmod(key, GROUP_STRIDE)
+                fleet = self._fleets[group]
+                if not fleet.active[slot]:
+                    continue
+                time = float(self._depart_at[group][slot])
+                if promoted < math.floor(time / slot_duration) <= horizon:
+                    sequence = int(self._depart_seq[group][slot])
+                    entries.append((time, sequence, key, int(fleet.call_id[slot])))
+            entries.sort()
+            for time, sequence, key, call_id in entries:
+                self._promoted[key] = self.engine.schedule_reserved(
+                    time, sequence, self._handle_departure, key, call_id
+                )
+        self.engine.run(until=until)
 
     def _select_route(self, group: int) -> Route:
         """An entering call's route, chosen before the CAC: of its flow
@@ -699,8 +787,9 @@ class RcbrGateway:
         topology interns a network slot per call (``_net_slots``) so
         every flow group shares the links' columns."""
         size = self._fleets[group].capacity
-        self._route_of[group] = grown(self._route_of[group], size)
-        self._vci_of[group] = grown(self._vci_of[group], size)
+        if self._route_of[group].size < size:  # the four grow together
+            for columns in (self._route_of, self._vci_of, self._depart_at, self._depart_seq):
+                columns[group] = grown(columns[group], size)
         vci = slot if self._net_slots is None else self._net_slots.intern(call_id)
         self._route_of[group][slot] = route.index
         self._vci_of[group][slot] = vci
@@ -766,11 +855,10 @@ class RcbrGateway:
         group, slot = divmod(key, GROUP_STRIDE)
         fleet = self._fleets[group]
         call_id = int(fleet.call_id[slot])
-        event = self._departure_events.pop(call_id, None)
-        remaining = self.mean_holding
+        event = self._promoted.pop(key, None)
         if event is not None:
             event.cancel()
-            remaining = max(0.0, event.time - now)
+        remaining = max(0.0, float(self._depart_at[group][slot]) - now)
         entry = (int(fleet.call_class[slot]), int(fleet.shift[slot]), remaining)
         self.abandoned += 1
         self.group_stats[group].abandoned += 1
@@ -1203,8 +1291,10 @@ class RcbrGateway:
           ports' ``provision_batch`` evolve their running sums as
           ``np.cumsum`` left folds (the link falls back to per-call
           requests when a setup would be granted only in part);
-        * departures are pushed one by one in call order, so the heap's
-          layout, and with it the checkpoint, is the per-call one.
+        * departures take one reserved sequence range, which is the
+          per-call sequence numbers in call order, and land in the
+          departure columns and calendar buckets (no heap event each), so
+          the checkpoint is the per-call one.
         """
         if self._preloaded:
             return
@@ -1269,7 +1359,7 @@ class RcbrGateway:
             # checkpoint, and a checkpoint stamped with a stale start
             # tick would resume by replaying epochs already served.
             self._next_tick = tick
-            self.engine.run(until=now)
+            self._drain(now)
             while now >= next_snapshot - _TIME_EPSILON:
                 self._take_snapshot(now)
                 next_snapshot += snapshot_every  # type: ignore[operator]
@@ -1282,7 +1372,7 @@ class RcbrGateway:
         self._next_tick = start_tick + completed
         end_time = self._next_tick * slot
 
-        self.engine.run(until=end_time)
+        self._drain(end_time)
         final = self._take_snapshot(end_time)
         return ServerReport(
             config=self.config.to_dict(),
@@ -1313,21 +1403,12 @@ class RcbrGateway:
     # Checkpointing (see repro.server.checkpoint and DESIGN.md §15)
     # ------------------------------------------------------------------
     def _encode_callback(self, callback: Callable) -> str:
-        # Called once per pending event (one departure per live call),
-        # so the name/allowlist validation is memoized by the underlying
-        # function object; the binding check stays per-call because each
-        # schedule_at creates a fresh bound method.
-        func = getattr(callback, "__func__", None)
-        name = self._encode_callback_cache.get(func)
-        if name is None:
-            name = getattr(callback, "__name__", None)
-            if name not in type(self).EVENT_CALLBACK_ALLOWLIST:
-                raise ValueError(
-                    f"cannot checkpoint event callback {callback!r}; "
-                    f"allowed: {sorted(type(self).EVENT_CALLBACK_ALLOWLIST)}"
-                )
-            if func is not None:
-                self._encode_callback_cache[func] = name
+        name = getattr(callback, "__name__", None)
+        if name not in type(self).EVENT_CALLBACK_ALLOWLIST:
+            raise ValueError(
+                f"cannot checkpoint event callback {callback!r}; "
+                f"allowed: {sorted(type(self).EVENT_CALLBACK_ALLOWLIST)}"
+            )
         if getattr(callback, "__self__", None) is not self:
             raise ValueError(
                 f"event callback {callback!r} is not bound to this gateway"
@@ -1339,81 +1420,12 @@ class RcbrGateway:
             raise ValueError(f"unknown checkpointed event callback {token!r}")
         return getattr(self, token)
 
-    def _encode_event_args(self, token_table, token_codes, args_list):
-        # The hot callbacks carry only scalars, one event per live call
-        # — flatten the whole heap's args into one float64 array (each
-        # event's width fixed by its codec spec) so a 1M-call heap
-        # pickles as one array, not a million tuples.  The single
-        # C-driven ``fromiter`` over a chain is the fastest packing
-        # measured (≈2× over per-row ``asarray``).  Events without a
-        # scalar spec (the rare in-flight batch commit with its ndarray
-        # args) ride in a side dict keyed by position.
-        codecs = type(self).EVENT_ARG_CODECS
-        widths = [len(codecs.get(token, ())) for token in token_table]
-        generic_codes = [
-            code for code, token in enumerate(token_table)
-            if token not in codecs
-        ]
-        count = len(args_list)
-        per_event = np.asarray(widths, dtype=np.int64)[token_codes]
-        generic: Dict[int, tuple] = {}
-        if generic_codes:
-            mask = np.isin(token_codes, generic_codes)
-            for index in np.nonzero(mask)[0].tolist():
-                generic[index] = args_list[index]
-        # Misaligned args would corrupt the flat layout silently; a
-        # vectorized length audit is ~2ms per 50k events — cheap
-        # insurance against a codec spec drifting from a call site.
-        lengths = np.fromiter(map(len, args_list), dtype=np.int64, count=count)
-        if generic:
-            lengths[mask] = per_event[mask]
-        if not np.array_equal(lengths, per_event):
-            raise ValueError(
-                "event args disagree with EVENT_ARG_CODECS widths; "
-                "refusing to write a misaligned checkpoint"
-            )
-        if generic:
-            flat_iter = itertools.chain.from_iterable(
-                args
-                for index, args in enumerate(args_list)
-                if index not in generic
-            )
-        else:
-            flat_iter = itertools.chain.from_iterable(args_list)
-        flat = np.fromiter(
-            flat_iter, dtype=np.float64, count=int(per_event.sum())
-        )
-        return {"flat": flat, "generic": generic}
-
-    def _decode_event_args(self, token_table, token_codes, packed):
-        flat = packed["flat"].tolist()
-        generic = packed["generic"]
-        specs = [
-            type(self).EVENT_ARG_CODECS.get(token, ())
-            for token in token_table
-        ]
-        args_list: List[tuple] = []
-        offset = 0
-        for index, code in enumerate(token_codes.tolist()):
-            if index in generic:
-                args_list.append(tuple(generic[index]))
-                continue
-            spec = specs[code]
-            end = offset + len(spec)
-            args_list.append(
-                tuple(
-                    conv(value)
-                    for conv, value in zip(spec, flat[offset:end])
-                )
-            )
-            offset = end
-        return args_list
-
     def state_dict(self) -> Dict[str, object]:
         """Export the complete mutable runtime state of this gateway.
 
         Everything a resumed run's fingerprint can depend on is here:
         kernel/fleet columns, call bindings (route and handle columns),
+        the departure columns (time and sequence) and promoted horizon,
         link allocations and compensated sums, per-hop port state, the
         event heap (callbacks encoded by method name), all live RNG
         streams, overload-plane hysteresis, fault injectors, counters
@@ -1421,7 +1433,8 @@ class RcbrGateway:
         stream.  The workload-sampling stream is *not* captured: it is
         consumed only during ``__init__``, and a restoring gateway
         reconstructs from the identical config, re-drawing it
-        identically.
+        identically.  Nor is the departure calendar: its buckets are the
+        live calls' unpromoted departures, filed again on restore.
 
         The returned structure shares arrays and objects with the live
         gateway; :func:`repro.server.checkpoint.write_checkpoint`
@@ -1431,14 +1444,13 @@ class RcbrGateway:
         renegotiation is torn.
         """
         return {
-            "engine": self.engine.state_dict(
-                self._encode_callback, self._encode_event_args
-            ),
+            "engine": self.engine.state_dict(self._encode_callback),
             "fleets": [fleet.state_dict() for fleet in self._fleets],
             "links": [link.state_dict() for link in self.links],
             "ports": [port.state_dict() for port in self.ports],
             "paths": [path.state_dict() for path in self.paths],
             "bindings": [self._route_of, self._vci_of],
+            "departures": [self._depart_at, self._depart_seq, self._promoted_through],
             "net_slots": (
                 None if self._net_slots is None else self._net_slots.state_dict()
             ),
@@ -1515,6 +1527,9 @@ class RcbrGateway:
         routes, vcis = state["bindings"]  # type: ignore[misc]
         self._route_of = [np.array(column) for column in routes]
         self._vci_of = [np.array(column) for column in vcis]
+        times, sequences, self._promoted_through = state["departures"]  # type: ignore[misc]
+        self._depart_at = [np.array(column) for column in times]
+        self._depart_seq = [np.array(column) for column in sequences]
         if self._net_slots is not None:
             self._net_slots.load_state(state["net_slots"])  # type: ignore[arg-type]
         faults_state = state["faults"]
@@ -1543,16 +1558,20 @@ class RcbrGateway:
         self._plane_rng.bit_generator.state = rng_states["plane"]  # type: ignore[index]
         self._call_ids = itertools.count(int(state["next_call_id"]))  # type: ignore[arg-type]
         events = self.engine.load_state(
-            state["engine"],
-            self._decode_callback,  # type: ignore[arg-type]
-            self._decode_event_args,
+            state["engine"], self._decode_callback  # type: ignore[arg-type]
         )
-        self._departure_events = {
-            int(event.args[1]): event
+        self._promoted = {
+            event.args[0]: event
             for event in events
             if not event.cancelled
             and event.callback.__name__ == "_handle_departure"
         }
+        self._calendar = {}
+        for group, fleet in enumerate(self._fleets):
+            slots = np.flatnonzero(fleet.active)
+            keys = slots + group * GROUP_STRIDE
+            waiting = ~np.isin(keys, list(self._promoted))
+            self._file_departures(keys[waiting], self._depart_at[group][slots[waiting]])
         counters = state["counters"]
         self.arrivals = int(counters["arrivals"])  # type: ignore[index]
         self.blocked = int(counters["blocked"])  # type: ignore[index]

@@ -3,23 +3,23 @@
 ``GoldenScalarGateway`` is the classic :class:`repro.server.gateway.RcbrGateway`
 control plane exactly as it stood while every renegotiation was its own
 scalar ``_issue`` -> ``_complete`` round trip: one completion event per
-call on the heap, the link, path and ports of the one-link service
-addressed directly by pool slot, and the departure, abandonment,
-eviction and shrink walks written against them.  Setup, arrivals and
-the data plane are inherited unchanged.
+call on the heap, one departure event per call on the heap from the
+moment it is armed (cancelled through a call-id map), the link, path
+and ports of the one-link service addressed directly by pool slot, and
+the departure, abandonment, eviction and shrink walks written against
+them.  Setup, arrivals and the data plane are inherited unchanged.
 
-The gateway in ``src/`` lands each epoch's answers as one batch and
-writes the call lifecycle once over a call's route; it must reproduce
-this oracle bit for bit — the snapshot fingerprint and every lifecycle
-counter — with and without fault plans.
+The gateway in ``src/`` lands each epoch's answers as one batch, keeps
+departures in columns and a per-epoch calendar until their epoch is
+near, and writes the call lifecycle once over a call's route; it must
+reproduce this oracle bit for bit — the snapshot fingerprint and every
+lifecycle counter — with and without fault plans.
 
 Do not "fix" or modernize this file: its value is that it does not
 change.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.server.gateway import RcbrGateway
 from repro.signaling.messages import RenegotiationRequest
@@ -32,10 +32,22 @@ class GoldenScalarGateway(RcbrGateway):
         "_golden_complete"
     }
 
-    EVENT_ARG_CODECS = {
-        **RcbrGateway.EVENT_ARG_CODECS,
-        "_golden_complete": (int, int, float, bool, bool),
-    }
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._departure_events = {}
+
+    def _arm_departure(self, key: int, call_id: int, time: float) -> None:
+        self._departure_events[call_id] = self.engine.schedule_at(
+            time, self._handle_departure, key, call_id
+        )
+
+    def _arm_departures(self, group, slots, times) -> None:
+        assert group == 0
+        call_ids = self.fleet.call_id[slots]
+        for slot, call_id, time in zip(
+            slots.tolist(), call_ids.tolist(), times.tolist()
+        ):
+            self._arm_departure(slot, call_id, time)
 
     def _issue_epoch(self, group, step, end_of_slot: float) -> None:
         assert group == 0
@@ -131,28 +143,22 @@ class GoldenScalarGateway(RcbrGateway):
         self.abandoned += 1
         self._handle_departure(slot, call_id)
 
-    def overload_shrink_class(
-        self, call_class: int, ratio: float, now: float
-    ) -> int:
+    def _shrink_call(self, slot: int, ratio: float, now: float) -> bool:
         fleet = self.fleet
-        slots = np.flatnonzero(fleet.active & (fleet.call_class == call_class))
-        shrunk = 0
-        for slot in slots.tolist():
-            old_rate = float(fleet.rate[slot])
-            new_rate = fleet.quantize(old_rate * ratio)
-            if new_rate >= old_rate:
-                continue
-            call_id = int(fleet.call_id[slot])
-            outcome = self.link.request(slot, new_rate, now)
-            granted = outcome.granted_rate
-            for port in self.ports:
-                port.reprovision(slot, granted - old_rate)
-            self.controller.on_reservation(call_id, granted, now)
-            fleet.set_rate(slot, granted)
-            shrunk += 1
-        return shrunk
+        old_rate = float(fleet.rate[slot])
+        new_rate = fleet.quantize(old_rate * ratio)
+        if new_rate >= old_rate:
+            return False
+        call_id = int(fleet.call_id[slot])
+        outcome = self.link.request(slot, new_rate, now)
+        granted = outcome.granted_rate
+        for port in self.ports:
+            port.reprovision(slot, granted - old_rate)
+        self.controller.on_reservation(call_id, granted, now)
+        fleet.set_rate(slot, granted)
+        return True
 
-    def overload_evict(self, slot: int, now: float) -> "tuple[int, int, float]":
+    def _evict_call(self, slot: int, now: float) -> "tuple[int, int, float]":
         fleet = self.fleet
         call_id = int(fleet.call_id[slot])
         call_class = int(fleet.call_class[slot])

@@ -251,6 +251,80 @@ class TestMemoryControllerChurn:
         assert report.fingerprint == expected
 
 
+def departure_state(gateway):
+    """What a boundary holds of the departure calendar: live promoted
+    departures on the heap, cancelled (stale) promoted departures of
+    evicted calls, and live departures still in a far bucket."""
+    departures = [
+        event
+        for event in gateway.engine._queue
+        if event.callback.__name__ == "_handle_departure"
+    ]
+    live = sum(fleet.num_active for fleet in gateway._fleets)
+    promoted = sum(not event.cancelled for event in departures)
+    return {
+        "promoted": promoted,
+        "stale": sum(event.cancelled for event in departures),
+        "far": live - promoted,
+    }
+
+
+class TestDepartureCalendarResume:
+    """A boundary can hold a departure on the heap that has not fired, a
+    departure still in a far calendar bucket, and the cancelled promoted
+    departure of an evicted call; each must survive a save and restore
+    and fire (or not) exactly where the uninterrupted run's does."""
+
+    CASE = "faulted-sacrifice"
+
+    @pytest.fixture(scope="class")
+    def boundary(self, workload):
+        """The first epoch boundary holding all three kinds."""
+        found = []
+
+        def hook(tick, gateway):
+            state = departure_state(gateway)
+            if min(state.values()) > 0:
+                found.append(tick)
+                return True
+            return False
+
+        with build_case(workload, self.CASE) as probe:
+            probe.run(20.0, epoch_hook=hook)
+        assert found, "no boundary held all three departure kinds"
+        return found[0]
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_every_departure_kind_resumes_bit_exact(
+        self, workload, tmp_path, boundary, shards
+    ):
+        def build():
+            overrides = dict(CHAOS_CASES[self.CASE], capacity=60 * workload.mean_rate)
+            if shards:
+                overrides.update(shards=shards, shard_chunk=16)
+            return build_gateway(
+                workload,
+                config(workload, **overrides),
+                faults=FaultPlan.from_spec(FAULT_SPEC, seed=42),
+            )
+
+        head = boundary * workload.slot_duration
+        path = tmp_path / "gw.ckpt"
+        with build() as reference:
+            reference.run(head, snapshot_every=1.0)
+            expected = reference.run(3.0, snapshot_every=1.0).fingerprint
+        with build() as first:
+            first.run(head, snapshot_every=1.0)
+            assert min(departure_state(first).values()) > 0
+            saved = departure_state(first)
+            first.save(path)
+        with build() as resumed:
+            resumed.restore(path)
+            assert departure_state(resumed) == saved
+            report = resumed.run(3.0, snapshot_every=1.0)
+        assert report.fingerprint == expected
+
+
 class TestGeneratorRoundTrip:
     """Satellite: every spawned stream restores to identical draws."""
 
@@ -389,8 +463,14 @@ class TestStaleness:
     def test_schema_eight_payload_is_refused(self, workload, tmp_path):
         # Schema 8 carried a ``scenario`` section: the lazily created
         # route list, the path stream and the network slots.
-        assert CHECKPOINT_SCHEMA == 9
         self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 8)
+
+    def test_schema_nine_payload_is_refused(self, workload, tmp_path):
+        # Schema 9 carried one heap event per live call's departure,
+        # exported through the columnar arg codec, and no departure
+        # columns.
+        assert CHECKPOINT_SCHEMA == 10
+        self.assert_schema_refused(workload, tmp_path / "gw.ckpt", 9)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):

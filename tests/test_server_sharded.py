@@ -197,6 +197,22 @@ FAULTED_GOLDEN_CASES = {
 }
 
 
+def count_calls(monkeypatch, names):
+    """Wrap ``GoldenScalarGateway`` methods ``names`` with call counters;
+    returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(GoldenScalarGateway, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        counted.__name__ = name
+        monkeypatch.setattr(GoldenScalarGateway, name, counted)
+    return calls
+
+
 def golden_pair(workload, overrides, faults):
     """The same config served by the gateway and by the frozen oracle;
     returns ``(report, counters)`` for each."""
@@ -227,9 +243,15 @@ class TestGoldenOracle:
         assert counters == golden_counters
 
     @pytest.mark.parametrize("name", sorted(FAULTED_GOLDEN_CASES))
-    def test_faulted_matches_golden(self, workload, name):
+    def test_faulted_matches_golden(self, workload, name, monkeypatch):
         overrides = dict(FAULTED_GOLDEN_CASES[name])
         overrides["capacity"] = overrides["initial_calls"] * workload.mean_rate
+        # The overload planes act through the per-call actions; count
+        # the oracle's, so its shrink and evict are shown to be the
+        # ones that ran, not the gateway's they are checked against.
+        actions = ("_shrink_call", "_evict_call")
+        assert set(actions) <= set(vars(GoldenScalarGateway))
+        ran = count_calls(monkeypatch, actions)
         (report, counters), (golden, golden_counters) = golden_pair(
             workload, overrides, fault_plan
         )
@@ -240,24 +262,37 @@ class TestGoldenOracle:
             assert golden.final.abandoned > 0
         if overrides.get("overload_policy") == "sacrifice":
             assert golden.overload["readmitted"] > 0
+            assert ran["_evict_call"] > 0
+        if overrides.get("overload_policy") == "downgrade":
+            assert ran["_shrink_call"] > 0
 
     def test_golden_lands_its_own_completions(self, workload, monkeypatch):
         # The oracle is live only while its per-call issue override is
         # the one the epoch step calls: its answers must land through
         # ``_golden_complete``, never through the batch it is checking.
-        fired = {"_golden_complete": 0, "_complete_batch": 0}
-        for name in fired:
-            original = getattr(GoldenScalarGateway, name)
-
-            def counted(self, *args, _name=name, _original=original):
-                fired[_name] += 1
-                return _original(self, *args)
-
-            counted.__name__ = name
-            monkeypatch.setattr(GoldenScalarGateway, name, counted)
+        fired = count_calls(monkeypatch, ("_golden_complete", "_complete_batch"))
         golden_pair(workload, case_overrides(workload, "hot-denials"), None)
         assert fired["_golden_complete"] > 0
         assert fired["_complete_batch"] == 0
+
+    def test_golden_fires_its_own_departures(self, workload, monkeypatch):
+        # Every departure the oracle serves must fire through the heap
+        # event it armed for that call, never through the calendar it is
+        # checking, which stays empty.
+        own = {"fired": 0, "foreign": 0}
+        original = GoldenScalarGateway._handle_departure
+
+        def counted(self, slot, call_id):
+            own["fired" if call_id in self._departure_events else "foreign"] += 1
+            return original(self, slot, call_id)
+
+        monkeypatch.setattr(GoldenScalarGateway, "_handle_departure", counted)
+        cfg = config(workload, 0, **case_overrides(workload, "growth"))
+        with GoldenScalarGateway(workload, cfg) as golden:
+            report = golden.run(5.0, snapshot_every=1.0)
+            assert not golden._calendar and not golden._promoted
+        assert own["fired"] == report.final.departed > 0
+        assert own["foreign"] == 0
 
 
 class TestLinkShortfalls:
