@@ -33,16 +33,22 @@ and estimate run, unchanged, so every decision is the exact test's.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.chernoff import (
     _ULP,
-    _certified_admit,
+    _Support,
+    _certify,
     max_admissible_calls,
     overload_probability,
 )
+
+#: Pending splits that force a catch-up of every row: bounds the log a
+#: touched row replays and the arrivals a batched catch-up walks.
+_MAX_PENDING = 32
 
 
 class AdmissionController(Protocol):
@@ -309,11 +315,10 @@ class MemoryMBAC:
     admission order (a departure zeroes its row, and zeroed rows are
     compacted away in bulk).  Per row: the open segment's start and the
     column of the level held now.  Per cell: a creation stamp from a
-    global clock.  An arrival closes every open segment with one fancy
-    index add and pools with one fold over the matrix.  The estimate is
-    bit-identical to walking one level -> seconds dict per call (kept as
-    the test oracle in ``tests/golden_mbac.py``), because the fold keeps
-    that walk's arithmetic:
+    global clock.  The estimate is bit-identical to walking one level
+    -> seconds dict per call (kept as the test oracle in
+    ``tests/golden_mbac.py``), because the fold keeps that walk's
+    arithmetic:
 
     1. *Per-level mass is a left fold* from the departed mass through
        every live row in admission order.  ``np.bincount`` with weights
@@ -331,22 +336,44 @@ class MemoryMBAC:
     Callers pass times as Python floats (the engine clock's), as the
     walk's dict values were.
 
+    **Deferred splits.**  An arrival touches no row: it appends its
+    time to a log of pending splits.  A row catches up on the splits
+    logged since it last did -- alone when a callback touches it, all
+    rows at once when the matrix is read (a fold, a compaction, a
+    pickle), on a batch of renegotiations, or when the log reaches
+    :data:`_MAX_PENDING` -- adding the same ``time - start`` pieces in
+    the same order as an eager split would, so every cell keeps its
+    bits.  Within a row, cells are still created in time order, which
+    is all their stamps encode.  A split at the latest segment start,
+    while every open segment starts there, changes nothing and is
+    skipped.
+
     **Certified decisions.**  Most arrivals are decided without the
-    fold.  Per level the controller keeps a running pooled mass, an
-    absolute bound on its distance from the exact sum of the level's
-    cells, and the exact number of nonzero cells (so the support, and
-    with it the peak, is exact).  Every place a cell changes updates
-    them: a segment close adds its piece (bound: an ulp of each grown
-    cell, of the sequential sum and of the new mass), a departure either
-    merges the row into row 0 (an ulp of each merged cell) or subtracts
-    it (an ulp of the result), as does a re-admission's restart, and a
-    level whose last cell goes is reset to exactly zero.  An arrival
-    still closes every open segment (rule 3, so the cells -- and every
-    later fold -- keep their bits), then asks the certified test, with
-    the fold's own error (an ulp per nonzero cell) added to the bound.
-    Only when it cannot decide does the fold run; the fold then also
-    resets the running mass.  The running state is derived, not saved:
-    restore rebuilds it from the matrix, and the pickle is unchanged.
+    fold.  Per level the controller keeps a running pooled mass of the
+    cells as if every logged split had been applied, an absolute bound
+    on its distance from the exact sum of those cells, and the exact
+    number of nonzero cells (so the support, and with it the peak, is
+    exact).  An arrival advances them in closed form, per level: the
+    open segments' pieces add up to (open rows) x time - (sum of their
+    starts), so the controller keeps each level's open-row count and
+    start sum (with a bound on the sum's rounding), and the zero cells
+    of open rows, which the split makes nonzero unless the segment
+    started at this very time.  The bound charges the closed form's
+    rounding and, per split, an ulp of every grown cell (at most the
+    level's mass).  Every callback that changes a cell updates them as
+    well: a row's segment close adds its piece (an ulp of the grown
+    cell and of the new mass), a departure either merges the row into
+    row 0 (an ulp of each merged cell) or subtracts it (an ulp of the
+    result), as does a re-admission's restart, and a level whose last
+    cell goes is reset to exactly zero.  The arrival then asks the
+    certified test, with the fold's own error (an ulp per nonzero cell)
+    added to the bound, on a support kept until it changes: the test
+    first retries the probes that settled the last arrival, else starts
+    its Newton search from the last arrival's tilt (cold after a
+    restore).  Only when it cannot decide does the fold run; the
+    fold then also resets the running mass.  The running state is
+    derived, not saved: restore rebuilds it from the matrix, and the
+    pickle is unchanged.
     """
 
     def __init__(
@@ -378,12 +405,32 @@ class MemoryMBAC:
         self._holes = 0  # departed rows not yet compacted away
         self._accrued = False  # any cell ever nonzero
         self._fold_columns = np.tile(np.arange(columns), rows)
+        # Pending splits: their times, how many were ever logged, and per
+        # row how many of those it has applied.
+        self._log: List[float] = []
+        self._splits = 0
+        self._synced = np.zeros(rows, dtype=np.int64)
         # Running state for the certified admission test: per level, the
         # pooled mass, a bound on its distance from the cells' exact sum,
-        # and the number of nonzero cells (so the support is exact).
+        # and the number of nonzero cells (so the support is exact) ...
         self._mass = np.zeros(columns)
         self._mass_error = np.zeros(columns)
         self._cells = np.zeros(columns, dtype=np.int64)
+        # ... the open rows, the sum of their segment starts and a bound
+        # on its rounding, and the open rows whose cell is still zero
+        # (all of them, and those whose segment started at ``_now``, the
+        # latest start).
+        self._open = np.zeros(columns)
+        self._start_sum = np.zeros(columns)
+        self._start_error = np.zeros(columns)
+        self._waiting = np.zeros(columns, dtype=np.int64)
+        self._waiting_now = np.zeros(columns, dtype=np.int64)
+        self._now = -math.inf
+        self._settled = True  # every open segment starts at ``_now``
+        # The certified test's support (column indices and invariants)
+        # while it holds, and the tilt its last search ended at.
+        self._support: Optional[Tuple[np.ndarray, _Support]] = None
+        self._tilt = 0.0
 
     def _resize(self, rows: int, columns: int) -> None:
         self._seconds = _padded(self._seconds, (rows, columns))
@@ -392,10 +439,13 @@ class MemoryMBAC:
         self._start = _padded(self._start, (rows,))
         self._level = _padded(self._level, (rows,))
         self._live = _padded(self._live, (rows,))
+        self._synced = _padded(self._synced, (rows,))
         self._fold_columns = np.tile(np.arange(columns), rows)
-        self._mass = _padded(self._mass, (columns,))
-        self._mass_error = _padded(self._mass_error, (columns,))
-        self._cells = _padded(self._cells, (columns,))
+        for name in (
+            "_mass", "_mass_error", "_cells", "_open", "_start_sum",
+            "_start_error", "_waiting", "_waiting_now",
+        ):
+            setattr(self, name, _padded(getattr(self, name), (columns,)))
 
     @property
     def num_active(self) -> int:
@@ -426,10 +476,11 @@ class MemoryMBAC:
 
     def _compact(self) -> None:
         """Squeeze out departed rows, keeping admission order."""
+        self._flush()
         rows = len(self._ids)
         keep = np.flatnonzero(self._live[:rows])
         kept = keep.size + 1
-        for column in (self._start, self._level, self._live):
+        for column in (self._start, self._level, self._live, self._synced):
             column[1:kept] = column[keep]
         self._live[kept:rows] = False
         for matrix in (self._seconds, self._born):
@@ -439,9 +490,145 @@ class MemoryMBAC:
         self._row_of = {call_id: row for row, call_id in enumerate(self._ids) if row}
         self._holes = 0
 
-    def _close(self, rows: np.ndarray, time: float) -> None:
-        """Close the open segments of ``rows`` (distinct) at ``time``
-        (rule 3)."""
+    # ------------------------------------------------------------------
+    # Rule 3, deferred
+    # ------------------------------------------------------------------
+    def _split(self, time: float) -> None:
+        """Split every open segment at ``time`` (an arrival, rule 3):
+        log the split and advance the running state in closed form."""
+        if time == self._now and self._settled:
+            return  # every piece is empty and every start stays: no-op
+        if time < self._now:
+            # A clock that ran backwards: some segment starts after
+            # ``time``, so the closed form does not hold.  Split eagerly
+            # and rebuild the running state from the cells.
+            self._log.append(time)
+            self._splits += 1
+            self._flush()
+            self._derive()
+            return
+        # Zero cells of open rows become nonzero, unless their segment
+        # starts at this very time.
+        fresh = self._waiting
+        if time > self._now:
+            # All of them grow; both counts restart from zero.
+            self._waiting = self._waiting_now
+            self._waiting.fill(0)
+            self._waiting_now = np.zeros(fresh.size, dtype=np.int64)
+            self._now = time
+        else:
+            self._waiting = self._waiting_now.copy()
+            fresh -= self._waiting
+        if np.count_nonzero(fresh):
+            cells = self._cells
+            held = np.count_nonzero(cells)
+            cells += fresh
+            if np.count_nonzero(cells) != held:
+                self._support = None
+            self._accrued = True
+        # Per level the pieces add up to (open rows) x time - (sum of
+        # starts), and every start becomes ``time``.  The bound charges
+        # the product's and the difference's rounding, the start sum's
+        # own error, and where rows are open, the new mass's rounding and
+        # an ulp of every grown cell (together at most the mass).
+        open_rows = self._open
+        reach = open_rows * time
+        piece = reach - self._start_sum
+        mass = self._mass + piece
+        rounding = open_rows * (_ULP * abs(time))  # an ulp of |reach|
+        charge = np.abs(mass)
+        charge += charge
+        charge += self._mass_error
+        charge *= open_rows > 0.0
+        charge += np.abs(piece)
+        charge *= _ULP
+        charge += rounding
+        charge += self._start_error
+        self._mass_error += charge
+        self._mass = mass
+        self._start_sum = reach
+        self._start_error = rounding
+        self._settled = True
+        self._log.append(time)
+        self._splits += 1
+        if len(self._log) >= _MAX_PENDING:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Apply the pending splits to every open segment, with an eager
+        split's arithmetic: each adds ``time - start`` to the row's cell
+        when positive, then starts the segment at ``time``.  After a
+        row's first pending split its piece is the difference of
+        consecutive split times, the same for every row, so a split
+        costs one add over the rows behind it."""
+        log = self._log
+        if not log:
+            return
+        rows = np.flatnonzero(self._live[: len(self._ids)])
+        ahead = self._synced[rows] - self._splits  # minus the splits behind
+        late = ahead < 0
+        if np.count_nonzero(late) < rows.size:
+            rows, ahead = rows[late], ahead[late]
+        if rows.size:
+            # Most behind first: the rows more than k splits behind are a
+            # prefix.
+            order = np.argsort(ahead, kind="stable")
+            rows, ahead = rows[order], ahead[order]
+            pending = len(log)
+            cells_at = rows * self._levels.size + self._level[rows]
+            seconds = self._seconds.reshape(-1)
+            cells = seconds[cells_at]
+            elapsed = np.asarray(log)[pending + ahead] - self._start[rows]
+            # A piece is added only when positive; adding 0.0 instead
+            # leaves the (non-negative) cell's bits as they are.
+            grown = cells + np.maximum(elapsed, 0.0)
+            deepest = -int(ahead[0])
+            counts = np.searchsorted(ahead, np.arange(1 - deepest, 0)).tolist()
+            times = log[pending - deepest :]
+            for count, before, time in zip(counts, times, times[1:]):
+                piece = time - before
+                if piece > 0.0:
+                    grown[:count] += piece
+            fresh = cells_at[(cells == 0.0) & (grown != 0.0)]
+            if fresh.size:
+                # One stamp serves them all: a row gains at most one cell.
+                self._born.reshape(-1)[fresh] = self._clock
+                self._clock += 1
+                self._accrued = True
+            seconds[cells_at] = grown
+            self._start[rows] = log[-1]
+            self._synced[rows] = self._splits
+        log.clear()
+
+    def _catch_up(self, row: int) -> None:
+        """:meth:`_flush` for the one row a callback touches, in Python
+        floats."""
+        behind = self._splits - int(self._synced[row])
+        if not behind:
+            return
+        self._synced[row] = self._splits
+        column = self._level[row]
+        cell = float(self._seconds[row, column])
+        start = float(self._start[row])
+        grown = cell
+        for time in self._log[len(self._log) - behind:]:
+            elapsed = time - start
+            if elapsed > 0.0:
+                grown += elapsed
+            start = time
+        self._start[row] = start
+        if grown != cell:
+            if cell == 0.0:
+                self._born[row, column] = self._clock
+                self._clock += 1
+            self._seconds[row, column] = grown
+
+    # ------------------------------------------------------------------
+    # Segment bookkeeping of the callbacks
+    # ------------------------------------------------------------------
+    def _close_rows(self, rows: np.ndarray, time: float) -> None:
+        """Close the open segments of ``rows`` (distinct, caught up) at
+        ``time``."""
         elapsed = time - self._start[rows]
         grew = elapsed > 0.0
         if grew.any():
@@ -457,7 +644,10 @@ class MemoryMBAC:
                 self._born[rows_grew[fresh], columns[fresh]] = self._clock
                 self._clock += 1
                 self._accrued = True
+                held = np.count_nonzero(self._cells)
                 self._cells += np.bincount(columns[fresh], minlength=width)
+                if np.count_nonzero(self._cells) != held:
+                    self._support = None
             grown = cells + pieces
             self._seconds[rows_grew, columns] = grown
             # Each grown cell rounds by an ulp of itself, and bincount's
@@ -472,8 +662,9 @@ class MemoryMBAC:
             )
         self._start[rows] = time
 
-    def _close_one(self, row: int, time: float) -> None:
-        """:meth:`_close` for a single row, without the array round trip."""
+    def _close_row(self, row: int, time: float) -> None:
+        """:meth:`_close_rows` for a single row, without the array round
+        trip."""
         elapsed = time - float(self._start[row])
         if elapsed > 0.0:
             column = self._level[row]
@@ -482,6 +673,8 @@ class MemoryMBAC:
                 self._born[row, column] = self._clock
                 self._clock += 1
                 self._accrued = True
+                if not self._cells[column]:
+                    self._support = None
                 self._cells[column] += 1
             grown = cell + elapsed
             self._seconds[row, column] = grown
@@ -489,6 +682,44 @@ class MemoryMBAC:
             self._mass[column] = mass
             self._mass_error[column] += _ULP * (abs(mass) + grown)
         self._start[row] = time
+
+    def _leave(self, row: int) -> None:
+        """Take ``row``'s open segment (caught up) out of its level's
+        open rows."""
+        column = self._level[row]
+        start = float(self._start[row])
+        remaining = self._open[column] - 1.0
+        self._open[column] = remaining
+        if remaining:
+            total = self._start_sum[column] - start
+            self._start_sum[column] = total
+            self._start_error[column] += _ULP * abs(total)
+        else:
+            self._start_sum[column] = 0.0
+            self._start_error[column] = 0.0
+        if self._seconds[row, column] == 0.0:
+            self._waiting[column] -= 1
+            if start == self._now:
+                self._waiting_now[column] -= 1
+
+    def _enter(self, row: int, time: float) -> None:
+        """Count ``row``'s segment, opened at ``time``, in its level's
+        open rows."""
+        column = self._level[row]
+        if time > self._now:
+            self._now = time
+            self._waiting_now.fill(0)
+            self._settled = len(self._row_of) == 1  # no other open row
+        elif time < self._now:
+            self._settled = False
+        self._open[column] += 1.0
+        total = self._start_sum[column] + time
+        self._start_sum[column] = total
+        self._start_error[column] += _ULP * abs(total)
+        if self._seconds[row, column] == 0.0:
+            self._waiting[column] += 1
+            if time == self._now:
+                self._waiting_now[column] += 1
 
     def _drop(self, row: int) -> None:
         """Take ``row``'s cells out of the running state before they are
@@ -502,22 +733,62 @@ class MemoryMBAC:
         self._mass[held] = mass
         self._mass_error[held] += _ULP * np.abs(mass)
         empty = held[self._cells[held] == 0]
-        self._mass[empty] = 0.0
-        self._mass_error[empty] = 0.0
+        if empty.size:
+            self._mass[empty] = 0.0
+            self._mass_error[empty] = 0.0
+            self._support = None
 
+    def _recount(self) -> None:
+        """Count the open rows of every level afresh, with their start
+        sums and zero cells (no split pending)."""
+        live = np.flatnonzero(self._live[: len(self._ids)])
+        columns = self._level[live]
+        starts = self._start[live]
+        width = self._levels.size
+        count = np.bincount(columns, minlength=width)
+        self._open = count.astype(float)
+        # bincount's sequential sum of k starts: k ulp of their magnitudes.
+        # (With no rows at all, bincount returns integers.)
+        self._start_sum = np.bincount(
+            columns, weights=starts, minlength=width
+        ).astype(float)
+        self._start_error = _ULP * count * np.bincount(
+            columns, weights=np.abs(starts), minlength=width
+        )
+        zero = self._seconds.reshape(-1)[live * width + columns] == 0.0
+        self._waiting = np.bincount(columns[zero], minlength=width)
+        now = starts == self._now
+        self._waiting_now = np.bincount(columns[zero & now], minlength=width)
+        self._settled = bool(now.all())
+
+    def _derive(self) -> None:
+        """Rebuild the running state from the matrix (no split pending)."""
+        rows = len(self._ids)
+        live = self._live[:rows]
+        self._now = float(self._start[:rows][live].max()) if live.any() else -math.inf
+        self._recount()
+        self._cells = np.count_nonzero(self._seconds[:rows], axis=0).astype(np.int64)
+        self._support = None
+        self._pooled()
+
+    # ------------------------------------------------------------------
     def pooled_history(
         self, time: float
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """(levels, fractions) pooled over the tracked call histories."""
-        self._close(np.flatnonzero(self._live[: len(self._ids)]), time)
+        self._split(time)
         return self._pooled()
 
     def _pooled(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """:meth:`pooled_history` of closed segments: the exact fold.  It
         also resets the running mass to the fold, whose own error is the
         left fold's, an ulp of the mass per nonzero cell."""
+        self._flush()
         if not self._accrued:
-            return None  # exact: every mass, hence the total, is 0
+            # Exact: every mass, hence the total, is 0.
+            self._mass = np.zeros(self._levels.size)
+            self._mass_error = np.zeros(self._levels.size)
+            return None
         # Rule 1: bincount adds every cell to its level's mass in array
         # order -- row 0 (departed) first, then the live rows in
         # admission order -- starting from 0.0.
@@ -549,7 +820,7 @@ class MemoryMBAC:
         active = len(self._row_of)
         if active == 0:
             return True
-        self._close(np.flatnonzero(self._live[: len(self._ids)]), time)
+        self._split(time)
         if not self._accrued:
             return True  # exact: every mass, hence the total, is 0
         verdict = self._certified(capacity, active + 1)
@@ -565,28 +836,31 @@ class MemoryMBAC:
     def _certified(self, capacity: float, num_calls: int) -> Optional[bool]:
         """The decision from the running mass, when it provably equals the
         exact fold's; None when only the fold can tell."""
-        width = len(self._column_of)
-        cells = self._cells[:width]
-        held = cells > 0
-        if not held.any():
-            return True  # every cell has departed unretained: no estimate
-        mass = self._mass[:width][held]
-        tracked = self._mass_error[:width][held]
+        if self._support is None:
+            held = np.flatnonzero(self._cells)
+            if not held.size:
+                return True  # every cell has departed unretained: no estimate
+            # A new support starts its search where the last one ended.
+            self._support = (held, _Support(self._levels[held], self._tilt))
+        held, support = self._support
+        mass = self._mass[held]
+        tracked = self._mass_error[held]
         # The fold adds a level's nonzero cells one at a time: an ulp of
         # their sum per cell on top of the tracked error.
-        error = tracked + _ULP * cells[held] * (mass + tracked)
+        error = tracked + _ULP * self._cells[held] * (mass + tracked)
         # The exact total is a Python sum of the folded masses.
         size = mass.size
-        total, spread = float(mass.sum()), float(error.sum())
+        total, spread = float(np.add.reduce(mass)), float(np.add.reduce(error))
         floor = max(self.min_history_seconds, 0.0)
         if (total - spread) * (1 - 2 * size * _ULP) <= floor:
             if (total + spread) * (1 + 2 * size * _ULP) <= floor:
                 return True  # too little history: admit, as the fold does
             return None
-        return _certified_admit(
-            self._levels[:width][held], mass, error, num_calls, capacity,
-            self.failure_target,
+        verdict = _certify(
+            support, mass, error, num_calls, capacity, self.failure_target, total
         )
+        self._tilt = support.tilt
+        return verdict
 
     def on_admit(
         self, call_id, initial_rate: float, time: float, call_class: int = 0
@@ -599,16 +873,23 @@ class MemoryMBAC:
             self._ids[row] = call_id
             self._live[row] = True
         else:
+            self._catch_up(row)
+            self._leave(row)
             self._drop(row)
             self._seconds[row] = 0.0  # a re-admission restarts the history
+        self._synced[row] = self._splits
         self._start[row] = time
         self._level[row] = column
+        self._enter(row, time)
 
     def on_reservation(self, call_id, new_rate: float, time: float) -> None:
         row = self._row_of.get(call_id)
         if row is not None:
-            self._close_one(row, time)
+            self._catch_up(row)
+            self._leave(row)
+            self._close_row(row, time)
             self._level[row] = self._column(new_rate)
+            self._enter(row, time)
 
     def on_reservation_batch(self, call_ids, new_rates, time: float) -> None:
         """One epoch's renegotiation outcomes at once; identical to one
@@ -625,16 +906,27 @@ class MemoryMBAC:
         if not tracked.all():
             rows = rows[tracked]
             columns = columns[tracked]
+        if not rows.size:
+            return
         # A call listed twice closes once and keeps its last rate, as the
-        # scalar sequence does.
-        self._close(np.unique(rows), time)
+        # scalar sequence does: its last entry is its first in reverse.
+        rows, last = np.unique(rows[::-1], return_index=True)
+        columns = columns[::-1][last]
+        self._flush()
+        self._close_rows(rows, time)
         self._level[rows] = columns
+        # The closed form's per-level counts, afresh from the caught-up
+        # rows.
+        self._now = max(self._now, time)
+        self._recount()
 
     def on_departure(self, call_id, time: float) -> None:
         row = self._row_of.pop(call_id, None)
         if row is None:
             return
-        self._close_one(row, time)
+        self._catch_up(row)
+        self._leave(row)
+        self._close_row(row, time)
         history = self._seconds[row, : len(self._column_of)]
         if self.retain_departed:
             departed = self._seconds[0, : history.size]
@@ -649,7 +941,8 @@ class MemoryMBAC:
                 self._cells[fresh] += 1
             departed += history
             # The mass stays pooled: each merged cell rounds by an ulp
-            # of itself, and the row's cells are gone.
+            # of itself, and the row's cells are gone (their levels keep
+            # a cell in row 0, so the support holds).
             held = np.flatnonzero(history)
             self._cells[held] -= 1
             self._mass_error[held] += _ULP * departed[held]
@@ -667,6 +960,7 @@ class MemoryMBAC:
         """Only the live rows and the used level columns, with every
         nonzero cell listed in (row, creation) order so its position in
         the list is its restored creation stamp."""
+        self._flush()
         live = np.flatnonzero(self._live[: len(self._ids)])
         rows = np.concatenate(([0], live))
         block = self._seconds[rows, : len(self._column_of)]
@@ -712,8 +1006,7 @@ class MemoryMBAC:
         self._accrued = bool(cell_row.size)
         # The running state is derived, not saved: it only decides when
         # the certified test applies, never a decision.
-        self._cells[: levels.size] = np.bincount(cell_column, minlength=levels.size)
-        self._pooled()
+        self._derive()
 
 
 def _padded(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

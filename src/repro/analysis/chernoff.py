@@ -209,6 +209,42 @@ _MIN_TARGET = 2.0**-1000
 _MAX_TILT = 4e17
 
 
+class _Support:
+    """The certified test's state for one support: what it derives from
+    the levels alone, the tilt its last Newton search ended at, and the
+    probes that last settled a verdict, with their exponentials.  A
+    caller whose support rarely changes keeps one, so an arrival pays
+    only for what depends on the masses."""
+
+    def __init__(self, levels: np.ndarray, tilt: float = 0.0) -> None:
+        self.levels = levels
+        self.size = levels.size
+        self.top = float(levels.max())
+        self.spread = self.top - float(levels.min())
+        self.scale = float(np.abs(levels).max())
+        # Clipping at zero only touches zero-mass levels above the peak.
+        self.offsets = np.minimum(levels - self.top, 0.0)
+        # The Newton search's moments [1, o, o^2] of the tilted weights,
+        # and the probes' sums and dot products with the levels: each
+        # one product.
+        self.powers = np.vstack(
+            (np.ones(self.size), self.offsets, self.offsets * self.offsets)
+        )
+        self.basis = np.vstack((np.ones(self.size), levels)).T
+        size = self.size
+        self.xi = 4 * size * _ULP / (1.0 - 4 * size * _ULP)  # gamma(4K)
+        # The tilted-mean error's terms that the masses do not move (see
+        # :func:`_certify`).
+        weight_error = (_EXP_RANGE + _FN_ULPS + 2) * _ULP
+        self.rounding = (
+            2 * (2 * weight_error * self.spread + (size + 2) * _ULP * self.scale)
+            + self.xi * self.scale
+        )
+        self.tilt = tilt
+        self.probes: Optional[list] = None
+        self.tilted: Optional[np.ndarray] = None
+
+
 def _certified_admit(
     levels: np.ndarray,
     mass: np.ndarray,
@@ -271,100 +307,163 @@ def _certified_admit(
       for the tilted mean, plus the rounding of ``-n * rate``, of
       ``exp`` and of ``log(target)``.
     """
+    return _certify(_Support(levels), mass, error, num_calls, capacity, target)
+
+
+def _certify(
+    support: _Support,
+    mass: np.ndarray,
+    error: np.ndarray,
+    num_calls: int,
+    capacity: float,
+    target: float,
+    total: Optional[float] = None,
+) -> Optional[bool]:
+    """:func:`_certified_admit` on a kept :class:`_Support` (``total``,
+    when given, is ``float(mass.sum())``).  The probes that settled the
+    last verdict are tried first; if they no longer straddle the tilt or
+    settle the verdict, the Newton search starts from where the last one
+    ended.  Neither choice can change a verdict: any two probes are
+    verified the same way, wherever they came from.
+    """
     if not capacity > 0:
         return None  # :func:`overload_probability` raises on it
-    top = float(levels.max())
+    top = support.top
     if num_calls * top <= capacity:
         return True
     c = float(capacity / num_calls)
     if c >= top:
         return None
-    size = levels.size
+    size = support.size
     if size == 1:
         return False
-    if target < _MIN_TARGET or not (mass > error).all():
+    if target < _MIN_TARGET:
         return None
-    total = float(mass.sum())
+    levels = support.levels
+    # Every mass must be above its error (errors are not negative): the
+    # total and every fraction positive, every error ratio below 1.  The
+    # ufuncs' own reductions skip the ``min``/``max`` method wrappers,
+    # which cost more than the work at this size.
+    if total is None:
+        total = float(mass.sum())
+    if not total > 0.0:
+        return None
     q = mass / total
-    smallest = float(q.min())
-    if smallest < _MIN_FRACTION:
+    smallest = float(np.minimum.reduce(q))
+    if not smallest >= _MIN_FRACTION:
         return None
-    eta = float((error / mass).max())
-    xi = 4 * size * _ULP / (1.0 - 4 * size * _ULP)  # gamma(4K)
+    eta = float(np.maximum.reduce(error / mass))
+    if not eta < 1.0:
+        return None
+    xi = support.xi
     zeta = (1.0 + eta) * (1.0 + xi) / ((1.0 - eta) * (1.0 - xi)) - 1.0
-    spread = top - float(levels.min())
-    scale = float(np.abs(levels).max())
     # Tilted-mean error, uniform in the tilt: the running marginal's
     # mass error; a relative weight error of one ulp per unit of exponent
     # (the offset and the product) up to where exp underflows, plus exp,
     # the weight product and q's division; the dot product, sum and
     # division; and the exact mean's missing division -- the rounding
-    # once for the exact path and once for this evaluation.
-    weight_error = (_EXP_RANGE + _FN_ULPS + 2) * _ULP
-    tilt_error = (
-        zeta * spread
-        + 2 * (2 * weight_error * spread + (size + 2) * _ULP * scale)
-        + xi * scale
-    )
+    # once for the exact path and once for this evaluation.  With
+    # ``w = (746 + 4 + 2)`` ulp that is ``zeta * spread + 2 (2 w spread
+    # + (K + 2) ulp scale) + xi * scale``; all but the first term are the
+    # support's ``rounding``.
+    tilt_error = zeta * support.spread + support.rounding
     log_min = 1.0 - math.log(smallest)
-    offsets = np.minimum(levels - top, 0.0)
     mean = float(q @ levels)
     if mean - tilt_error >= c:
         return False
     if mean + tilt_error >= c:
         return None
     target_log = -math.log(target)
+    slack = (tilt_error, zeta, log_min, target_log)
+    if support.probes is not None:
+        verdict = _settle(support, q, c, num_calls, slack)
+        if verdict is not None:
+            return verdict
     # Safeguarded Newton on m(t) = c within the bracket [low, high].  It
     # stops once the step is at the noise level, or small enough that
     # probes two steps out lose under 1/64 of the margin it sees: the
     # probes are verified either way, so this only decides how often a
-    # call falls back.
-    low, high, tilt = 0.0, math.inf, 0.0
+    # call falls back.  An iteration is one exp and one product: the
+    # moments [1, o, o^2] of the tilted weights q e^{t o}, o = l - peak.
+    offsets = support.offsets
+    moments = support.powers * q
+    low, high = 0.0, math.inf
+    tilt = support.tilt if 0.0 < support.tilt < _MAX_TILT else 0.0
     for _ in range(40):
-        weights = q * np.exp(tilt * offsets)
-        total = float(weights.sum())
-        tilted = float(weights @ levels) / total
-        variance = float(weights @ (levels - tilted) ** 2) / total
+        total, first, second = (moments @ np.exp(tilt * offsets)).tolist()
+        shift = first / total  # tilted mean - peak
+        tilted = top + shift
+        variance = second / total - shift * shift
         if tilted < c:
             low = tilt
         else:
             high = tilt
-        if not variance > 0.0:
+        if variance > 0.0:
+            step = (c - tilted) / variance
+            # g's quadratic model at the Newton point: g + variance step^2 / 2.
+            loss = variance * step * step
+            rate = tilt * (c - top) - math.log(total) + loss / 2
+            if (
+                abs(step) * variance <= tilt_error
+                or 64 * num_calls * loss <= abs(num_calls * rate - target_log)
+            ):
+                break
+            tilt += step
+            if low < tilt < high:
+                continue
+        elif not high < math.inf:
             return None
-        step = (c - tilted) / variance
-        # g's quadratic model at the Newton point: g + variance step^2 / 2.
-        loss = variance * step * step
-        rate = tilt * (c - top) - math.log(total) + loss / 2
-        if (
-            abs(step) * variance <= tilt_error
-            or 64 * num_calls * loss <= abs(num_calls * rate - target_log)
-        ):
-            break
-        tilt += step
-        if not low < tilt < high:
-            tilt = (low + high) / 2  # a step past the bracket: bisect
+        # A step past the bracket, or a tilt so steep that the weights
+        # left the peak's neighbours: bisect.
+        tilt = (low + high) / 2
     else:
+        support.tilt = 0.0
         return None
     tilt = max(tilt + step, 0.0)
-    reach = max(4 * tilt_error / variance, 2 * abs(step))
+    support.tilt = tilt
+    # The probes sit two steps out, or as far as the stopping rule would
+    # let a step go (under 1/64 of the margin): the wider they are, the
+    # more later arrivals they settle.
+    margin = abs(num_calls * rate - target_log)
+    reach = max(
+        4 * tilt_error / variance,
+        2 * abs(step),
+        math.sqrt(margin / (64 * num_calls * variance)),
+    )
     inner, outer = max(tilt - reach, 0.0), tilt + reach
     if not outer < _MAX_TILT:
         return None
     # brentq's stopping width, with 4 ulp for its own rounding.
     width = (_XTOL + _RTOL * outer) / (1.0 - _RTOL) * (1 + 4 * _ULP)
-    probes = np.asarray([inner, outer, max(inner - width, 0.0), outer + width])
-    weights = q * np.exp(np.multiply.outer(probes, offsets))
-    sums = weights.sum(axis=1)
-    below, above = ((weights[:2] @ levels) / sums[:2]).tolist()
+    support.probes = [inner, outer, max(inner - width, 0.0), outer + width]
+    support.tilted = np.exp(np.multiply.outer(support.probes, offsets))
+    return _settle(support, q, c, num_calls, slack)
+
+
+def _settle(
+    support: _Support, q: np.ndarray, c: float, num_calls: int, slack: tuple
+) -> Optional[bool]:
+    """The verdict the support's probes ``[P1, P2, P1 - w, P2 + w]``
+    certify for the marginal ``q`` at per-call capacity ``c``, or None:
+    both tilted means must straddle ``c``, and then the rate bounds of
+    :func:`_certified_admit` must clear the target."""
+    tilt_error, zeta, log_min, target_log = slack
+    inner, outer, _, farthest = support.probes
+    sums, dots = ((q * support.tilted) @ support.basis).T.tolist()
+    below, above = dots[0] / sums[0], dots[1] / sums[1]
     if not below + tilt_error < c < above - tilt_error:
         return None
     # g = t c - Lambda(t), with Lambda(t) = log(sum q e^{t (l - peak)}) + t peak.
-    gains = probes * (c - top) - np.log(sums)
-    reach_error = _evaluation_error(outer + width, scale, log_min, size)
+    top = support.top
+    gains = [
+        probe * (c - top) - math.log(total)
+        for probe, total in zip(support.probes, sums)
+    ]
+    reach_error = _evaluation_error(farthest, support.scale, log_min, support.size)
     target_slack = 2 * _FN_ULPS * _ULP * target_log
-    lower = float(gains[2:].min()) - zeta - 2 * reach_error
+    lower = min(gains[2:]) - zeta - 2 * reach_error
     upper = (
-        float(gains[0])
+        gains[0]
         + (c - below + tilt_error) * (outer - inner) * (1 + _ULP)
         + zeta
         + 2 * reach_error

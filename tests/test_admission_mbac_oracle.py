@@ -13,9 +13,12 @@ the same snapshot as ``np.unique`` over the current rates.
   after admission, ids re-admitted after leaving, live ids admitted
   again (their history restarts), callbacks for unknown ids,
   ``retain_departed=False`` and ``min_history_seconds > 0``.  Some
-  arrivals are steered: their capacity is the float at which the
-  golden decision flips, so the estimate lands on the target and
-  ``MemoryMBAC``'s certified test must fall back to the exact fold.  A
+  arrivals decide without pooling first, so several splits -- some at
+  one timestamp -- wait in ``MemoryMBAC``'s log until a callback or a
+  fold catches the rows up.  Some arrivals are steered: their capacity
+  is the float at which the golden decision flips, so the estimate
+  lands on the target and ``MemoryMBAC``'s certified test must fall
+  back to the exact fold.  A
   twin controller that is never pickled must pool and decide exactly
   as the round-tripped one (the running state behind the certified
   test is derived on restore).
@@ -56,6 +59,7 @@ operation = st.one_of(
     ),
     st.tuples(st.just("depart"), pick, step_index),
     st.tuples(st.just("arrive"), pick, step_index, st.integers(1, 8)),
+    st.tuples(st.just("decide"), pick, step_index, st.integers(1, 8)),
     st.tuples(st.just("steer"), step_index, st.booleans()),
     st.tuples(st.just("restart"), pick, pick, step_index),
     st.tuples(st.just("pool"), step_index),
@@ -73,11 +77,9 @@ operations_strategy = st.lists(operation, min_size=10, max_size=150)
 
 def certified(controller, calls, capacity, time):
     """The certified verdict of a ``MemoryMBAC`` for an arrival at
-    ``time``, reached as ``admit`` reaches it: every open segment
-    closed, no fold."""
-    controller._close(
-        np.flatnonzero(controller._live[: len(controller._ids)]), time
-    )
+    ``time``, reached as ``admit`` reaches it: the split logged and the
+    running state advanced, no fold."""
+    controller._split(time)
     return controller._certified(capacity, calls)
 
 
@@ -198,11 +200,12 @@ class Replay:
                 self.advance(step)
                 self.both("on_reservation", "nobody", self.level(level), self.time)
                 self.both("on_departure", "nobody", self.time)
-            elif kind == "arrive":
+            elif kind in ("arrive", "decide"):
                 _, level, step, calls = op
                 self.advance(step)
                 capacity = calls * max(self.levels) * 0.8 + self.level(level)
-                self.check_pool()
+                if kind == "arrive":
+                    self.check_pool()
                 self.decide(capacity)
             elif kind == "steer":
                 self.advance(op[1])
@@ -236,6 +239,53 @@ class Replay:
         return expected
 
 
+def long_churn(seed, retain, pool_every):
+    """A seeded churn of hundreds of calls at 48 levels, fed to the
+    golden and the columnar controller; both pool before the arrival of
+    every ``pool_every``-th step, and every decision must agree."""
+    rng = np.random.default_rng(seed)
+    levels = np.round(rng.uniform(50.0, 1500.0, 48), 3).tolist()
+    golden = GoldenMemoryMBAC(1e-3, retain_departed=retain)
+    columnar = MemoryMBAC(1e-3, retain_departed=retain)
+    time = 0.0
+    live: list = []
+    serial = 0
+    for step in range(1500):
+        if step % 300 == 299:
+            columnar = pickle.loads(pickle.dumps(columnar))
+        time += float(rng.exponential(0.05))
+        draw = rng.random()
+        if draw < 0.3 or not live:
+            call_id = f"c{serial}"
+            serial += 1
+            capacity = float(rng.uniform(0.5, 1.5)) * 700.0 * (len(live) + 1)
+            if step % pool_every == 0:
+                assert_same_pool(
+                    golden.pooled_history(time), columnar.pooled_history(time)
+                )
+            assert golden.admit(capacity, time) == columnar.admit(capacity, time)
+            rate = levels[int(rng.integers(len(levels)))]
+            golden.on_admit(call_id, rate, time)
+            columnar.on_admit(call_id, rate, time)
+            live.append(call_id)
+        elif draw < 0.55:
+            call_id = live.pop(int(rng.integers(len(live))))
+            golden.on_departure(call_id, time)
+            columnar.on_departure(call_id, time)
+        else:
+            count = int(rng.integers(1, min(len(live), 12) + 1))
+            picked = rng.choice(len(live), size=count, replace=False)
+            ids = [live[index] for index in picked.tolist()]
+            rates = [levels[int(rng.integers(len(levels)))] for _ in ids]
+            for call_id, rate in zip(ids, rates):
+                golden.on_reservation(call_id, rate, time)
+            columnar.on_reservation_batch(
+                np.asarray(ids), np.asarray(rates), time
+            )
+    assert_same_pool(golden.pooled_history(time + 1.0),
+                     columnar.pooled_history(time + 1.0))
+
+
 class TestMemoryMBACOracle:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -262,46 +312,15 @@ class TestMemoryMBACOracle:
         growth of both the row and the level capacity, pickle round
         trips, and long pooled folds where summation order shows in the
         last bit."""
-        rng = np.random.default_rng(seed)
-        levels = np.round(rng.uniform(50.0, 1500.0, 48), 3).tolist()
-        golden = GoldenMemoryMBAC(1e-3, retain_departed=retain)
-        columnar = MemoryMBAC(1e-3, retain_departed=retain)
-        time = 0.0
-        live: list = []
-        serial = 0
-        for step in range(1500):
-            if step % 300 == 299:
-                columnar = pickle.loads(pickle.dumps(columnar))
-            time += float(rng.exponential(0.05))
-            draw = rng.random()
-            if draw < 0.3 or not live:
-                call_id = f"c{serial}"
-                serial += 1
-                capacity = float(rng.uniform(0.5, 1.5)) * 700.0 * (len(live) + 1)
-                assert_same_pool(
-                    golden.pooled_history(time), columnar.pooled_history(time)
-                )
-                assert golden.admit(capacity, time) == columnar.admit(capacity, time)
-                rate = levels[int(rng.integers(len(levels)))]
-                golden.on_admit(call_id, rate, time)
-                columnar.on_admit(call_id, rate, time)
-                live.append(call_id)
-            elif draw < 0.55:
-                call_id = live.pop(int(rng.integers(len(live))))
-                golden.on_departure(call_id, time)
-                columnar.on_departure(call_id, time)
-            else:
-                count = int(rng.integers(1, min(len(live), 12) + 1))
-                picked = rng.choice(len(live), size=count, replace=False)
-                ids = [live[index] for index in picked.tolist()]
-                rates = [levels[int(rng.integers(len(levels)))] for _ in ids]
-                for call_id, rate in zip(ids, rates):
-                    golden.on_reservation(call_id, rate, time)
-                columnar.on_reservation_batch(
-                    np.asarray(ids), np.asarray(rates), time
-                )
-        assert_same_pool(golden.pooled_history(time + 1.0),
-                         columnar.pooled_history(time + 1.0))
+        long_churn(seed, retain, pool_every=1)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), retain=st.booleans())
+    def test_long_churn_pooling_rarely_matches_dict_walk(self, seed, retain):
+        """The long churn with a fold before every 50th step only: in
+        between, arrivals log their splits, and departures, batches,
+        pickles and the log bound catch the rows up, as in a gateway."""
+        long_churn(seed, retain, pool_every=50)
 
     def test_single_level_fold_is_sequential(self):
         """One level column over many calls: a pairwise sum would drift

@@ -399,6 +399,52 @@ def test_certified_decision_matches(
             ) is None, (estimate, edge)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    marginal=marginals(max_levels=20),
+    steps=st.integers(2, 8),
+    target=st.sampled_from([1e-6, 1e-3, 0.05, 0.5]),
+)
+def test_kept_support_decisions_match(data, marginal, steps, target):
+    """One support kept over a run of arrivals, as ``MemoryMBAC`` keeps
+    it: the masses drift and the call count moves by one between
+    arrivals, and each decision first tries the last probes, then starts
+    its search where the last one ended.  Every verdict is still the
+    golden module's, and a target at the estimate or one ulp below it
+    still falls back."""
+    levels, probs = marginal
+    held = probs > 0
+    kept = chernoff._Support(levels[held])
+    num_calls = data.draw(st.integers(2, 400))
+    c = capacity_per_call(data.draw, levels, probs)
+    for _ in range(steps):
+        num_calls = max(1, num_calls + data.draw(st.sampled_from([-1, 0, 1])))
+        drift = data.draw(
+            st.lists(
+                st.floats(0.0, 0.02), min_size=int(held.sum()),
+                max_size=int(held.sum()),
+            )
+        )
+        probs = probs.copy()
+        probs[held] *= 1.0 + np.asarray(drift)
+        mass, error = probs[held], np.zeros(int(held.sum()))
+        capacity = num_calls * c if c > 0 else 1.0
+        verdict = chernoff._certify(kept, mass, error, num_calls, capacity, target)
+        try:
+            estimate = golden.overload_probability(levels, probs, num_calls, capacity)
+        except ValueError:
+            assert verdict is None
+            continue
+        if verdict is not None:
+            assert verdict == (estimate <= target), (estimate, target)
+        if 0.0 < estimate < 1.0:
+            for edge in (estimate, float(np.nextafter(estimate, 0.0))):
+                assert chernoff._certify(
+                    kept, mass, error, num_calls, capacity, edge
+                ) is None, (estimate, edge)
+
+
 def test_certified_decision_mostly_decides():
     """Away from the target the test settles the decision itself: over a
     seeded corpus it falls back on fewer than 1 in 50."""
