@@ -899,15 +899,18 @@ class MemoryMBAC:
             (row_of.get(call_id, 0) for call_id in np.asarray(call_ids).tolist()),
             dtype=np.intp,
         )
-        columns = np.fromiter(
-            map(self._column, np.asarray(new_rates).tolist()), dtype=np.intp
-        )
+        new_rates = np.asarray(new_rates)
         tracked = rows > 0
         if not tracked.all():
+            # An untracked id must not add a level column, as in the
+            # scalar path.
             rows = rows[tracked]
-            columns = columns[tracked]
+            new_rates = new_rates[tracked]
         if not rows.size:
             return
+        columns = np.fromiter(
+            map(self._column, new_rates.tolist()), dtype=np.intp
+        )
         # A call listed twice closes once and keeps its last rate, as the
         # scalar sequence does: its last entry is its first in reverse.
         rows, last = np.unique(rows[::-1], return_index=True)

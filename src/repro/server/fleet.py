@@ -41,6 +41,27 @@ from repro.traffic.trace import SlottedWorkload
 from repro.util.stats import per_class_counts, per_class_totals
 
 
+def gather_arrivals(
+    bits: np.ndarray,
+    shift: np.ndarray,
+    active: np.ndarray,
+    tick: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One epoch's arrivals per pool slot: ``bits[(shift + tick) % L]``,
+    zeroed for inactive slots so their state stays exactly 0.
+
+    The fleet's one gather: :class:`CallFleet` runs it over the whole
+    pool, a shard worker over one chunk into its shared column (``out``).
+    """
+    num_base_slots = bits.size
+    index = shift + (tick % num_base_slots)
+    np.subtract(
+        index, num_base_slots, out=index, where=index >= num_base_slots
+    )
+    return np.multiply(bits[index], active, out=out)
+
+
 @dataclass(frozen=True)
 class EpochStep:
     """What one vectorized step produced: who wants to renegotiate.
@@ -267,24 +288,11 @@ class CallFleet:
         :meth:`repro.core.kernel.RenegotiationKernel.step`); ``None``
         keeps the step bit-identical to the undowngraded path.
         """
-        active = self.active
-
-        # Gather this epoch's arrivals: base_bits[(shift + tick) % L],
-        # zeroed for inactive slots so their state stays exactly 0.
-        index = self.shift + (tick % self._num_base_slots)
-        np.subtract(
-            index, self._num_base_slots, out=index,
-            where=index >= self._num_base_slots,
-        )
-        amount = self._bits[index] * active
-
-        wants, candidate = self._kernel.step(
-            self._state, amount, downgrade=downgrade
-        )
+        wants, candidate = self._advance(tick, downgrade)
 
         # Eligibility on top of the raw eq.-8 crossings: the call must be
         # active and must not have a renegotiation cell already in flight.
-        wants &= active
+        wants &= self.active
         wants &= ~self.pending
 
         self.epochs_stepped += 1
@@ -293,6 +301,14 @@ class CallFleet:
         return EpochStep(
             tick=tick, slots=slots, candidates=candidate[slots]
         )
+
+    def _advance(
+        self, tick: int, downgrade: Optional[np.ndarray]
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Run eqs. 6-8 over the pool; the kernel's raw
+        ``(wants, candidates)``.  The sharded fleet overrides only this."""
+        amount = gather_arrivals(self._bits, self.shift, self.active, tick)
+        return self._kernel.step(self._state, amount, downgrade=downgrade)
 
     # ------------------------------------------------------------------
     # Whole-fleet observables (exact: inactive slots are exact zeros)

@@ -492,7 +492,6 @@ class RcbrGateway:
                 initial_capacity=initial_capacity,
                 num_shards=config.shards,
                 chunk_size=config.shard_chunk,
-                seed=config.seed,
             )
         return CallFleet(
             workload,

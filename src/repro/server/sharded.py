@@ -20,13 +20,11 @@ Determinism contract (the whole point — see DESIGN.md §14):
   ``shard_of_slot(slot) = (slot // chunk_size) % num_shards``.  Pool
   slots never change over a call's lifetime, so a call never migrates
   shards, under fleet growth (which only appends chunks) or compaction.
-* **Workers consume no randomness.**  All six seeded streams stay in
-  the coordinator, drawn in exactly the unsharded order.  Each worker
-  is still handed its ``SeedSequence(seed, spawn_key=(shard,))``-derived
-  stream (the canonical derivation, reserved for worker-local needs);
-  keeping it out of the hot path is what makes ``--shards 1`` byte-
-  identical to the committed pre-shard ``BENCH_server.json``
-  fingerprint.
+* **Workers draw no randomness.**  Every seeded stream stays in the
+  coordinator, drawn in exactly the unsharded order, so a worker's
+  output is a function of the shared columns and the tick alone.  That
+  is what lets a rebuilt pool (or a restored checkpoint) re-step a
+  chunk exactly: nothing about a worker needs saving or re-deriving.
 * **Every float reduction happens in the coordinator over full-length
   columns.**  Workers run only elementwise kernel operations on
   disjoint slices — bit-identical to the same rows of a whole-array
@@ -42,15 +40,18 @@ Together these give the locked invariant: same seed ⇒ byte-identical
 snapshot fingerprint for any ``shards`` count, including ``shards=0``
 (the inline :class:`~repro.server.fleet.CallFleet`).
 
-Supervision reuses :class:`~repro.perf.supervise.SupervisorPolicy`:
-a worker that dies or exceeds the step timeout triggers a pool rebuild
-and a lossless re-step — each worker snapshots a chunk's persistent
-columns into shared shadow copies before mutating it and journals
-per-chunk ``started``/``done`` ticks, so a replacement worker restores
-any torn chunk and skips completed ones.  After ``max_pool_rebuilds``
-the fleet degrades to stepping chunks inline in the coordinator
-(service stays up, just slower), mirroring the sweep engine's
-degrade-to-serial policy.
+Supervision reuses :class:`~repro.perf.supervise.SupervisorPolicy`.
+Each epoch is one round trip per worker, and that step is also the
+watchdog: a worker found dead before the send, a broken pipe, an early
+exit, a wrong reply, or no reply by the deadline (``policy.timeout``,
+else :data:`STEP_DEADLINE`) triggers a pool rebuild and a lossless
+re-step — each worker snapshots a chunk's persistent columns into
+shared shadow copies before mutating it and journals per-chunk
+``started``/``done`` ticks, so a replacement worker restores any torn
+chunk and skips completed ones.  After ``max_pool_rebuilds`` the fleet
+degrades to stepping chunks inline in the coordinator (service stays
+up, just slower), mirroring the sweep engine's degrade-to-serial
+policy.
 """
 
 from __future__ import annotations
@@ -71,8 +72,14 @@ from repro.core.kernel import (
 )
 from repro.core.online import OnlineParams
 from repro.perf.supervise import SupervisorPolicy
-from repro.server.fleet import CallFleet, EpochStep
+from repro.server.fleet import CallFleet, gather_arrivals
 from repro.traffic.trace import SlottedWorkload
+
+
+#: Seconds a step may take when ``SupervisorPolicy.timeout`` is unset.
+#: A 1M-call step takes tens of milliseconds; past this a worker is
+#: taken as wedged (e.g. SIGSTOPped) and the pool is rebuilt.
+STEP_DEADLINE = 5.0
 
 
 def shard_of_slot(slot: int, chunk_size: int, num_shards: int) -> int:
@@ -144,13 +151,6 @@ class _SharedColumns:
         self._buffers[name] = raw  # keep the buffer alive
         setattr(self, name, np.frombuffer(raw, dtype=dtype))
 
-    def copy_persistent_from(self, old: "_SharedColumns") -> None:
-        """Carry live state across a grow (columns are zero past it)."""
-        span = old.capacity
-        for name in ("rate", "estimate", "buffer", "shift", "active",
-                     "pending"):
-            getattr(self, name)[:span] = getattr(old, name)
-
     def chunk_bounds(self, chunk: int) -> "tuple[int, int]":
         low = chunk * self.chunk_size
         return low, min(low + self.chunk_size, self.capacity)
@@ -160,7 +160,6 @@ def _run_chunk(
     columns: _SharedColumns,
     kernel: RenegotiationKernel,
     base_bits: np.ndarray,
-    num_base_slots: int,
     chunk: int,
     tick: int,
     use_downgrade: bool,
@@ -171,8 +170,8 @@ def _run_chunk(
     chunk that a dead worker left half-stepped is restored from its
     shadow copy first, so supervision can re-dispatch a step without
     corrupting state.  The arithmetic is the slice-for-slice image of
-    :meth:`CallFleet.step`'s gather plus the kernel step in deferred
-    accounting mode.
+    :meth:`CallFleet.step`: the same gather, then the kernel step in
+    deferred accounting mode.
     """
     if columns.chunk_done[chunk] == tick:
         return
@@ -190,12 +189,10 @@ def _run_chunk(
         columns.buffer_shadow[window] = columns.buffer[window]
         columns.chunk_started[chunk] = tick
 
-    index = columns.shift[window] + (tick % num_base_slots)
-    np.subtract(
-        index, num_base_slots, out=index, where=index >= num_base_slots
+    amount = gather_arrivals(
+        base_bits, columns.shift[window], columns.active[window], tick,
+        out=columns.arrivals[window],
     )
-    amount = columns.arrivals[window]
-    np.multiply(base_bits[index], columns.active[window], out=amount)
 
     view = KernelStateView(
         rate=columns.rate[window],
@@ -227,20 +224,9 @@ def _shard_worker_main(
     columns: _SharedColumns,
     kernel: RenegotiationKernel,
     base_bits: np.ndarray,
-    num_base_slots: int,
     chunks: Sequence[int],
-    seed_sequence,
 ) -> None:
-    """One shard worker: step my chunks when told, until told to stop.
-
-    ``seed_sequence`` is this shard's canonical
-    ``SeedSequence(base_seed, spawn_key=(shard,))`` stream.  The hot
-    path is deliberately RNG-free (all randomness stays in the
-    coordinator so fingerprints cannot depend on the shard count); the
-    stream exists so any future worker-local need draws from the
-    documented derivation instead of inventing one.
-    """
-    del seed_sequence  # reserved; see docstring
+    """One shard worker: step my chunks when told, until told to stop."""
     parent_pid = os.getppid()
     try:
         while True:
@@ -254,14 +240,10 @@ def _shard_worker_main(
             command = conn.recv()
             if command[0] == "stop":
                 break
-            if command[0] == "ping":
-                conn.send(("pong",))
-                continue
             _, tick, use_downgrade = command
             for chunk in chunks:
                 _run_chunk(
-                    columns, kernel, base_bits, num_base_slots,
-                    chunk, tick, use_downgrade,
+                    columns, kernel, base_bits, chunk, tick, use_downgrade
                 )
             conn.send(("done", tick))
     except (EOFError, OSError, KeyboardInterrupt):
@@ -274,9 +256,10 @@ class ShardWorkerPool:
     """N persistent fork workers stepping a shared column block.
 
     Commands and replies travel over one pipe per worker; the shared
-    block itself never crosses the pipes.  ``step`` raises
-    :class:`WorkerPoolError` on death, hang (``policy.timeout``), or a
-    protocol violation; the owner rebuilds or degrades per
+    block itself never crosses the pipes.  :meth:`step` is the pool's
+    only round trip and its watchdog: it raises :class:`WorkerPoolError`
+    on death (before or during the step), a hang past its deadline, or
+    a protocol violation; the owner rebuilds or degrades per
     :class:`~repro.perf.supervise.SupervisorPolicy` — this pool stays
     mechanism, not policy.
     """
@@ -286,20 +269,16 @@ class ShardWorkerPool:
         columns: _SharedColumns,
         kernel: RenegotiationKernel,
         base_bits: np.ndarray,
-        num_base_slots: int,
         num_shards: int,
         policy: SupervisorPolicy,
-        base_seed: int,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self._columns = columns
         self._kernel = kernel
         self._base_bits = base_bits
-        self._num_base_slots = int(num_base_slots)
         self.num_shards = int(num_shards)
         self._policy = policy
-        self._base_seed = int(base_seed)
         self._context = multiprocessing.get_context("fork")
         self._workers: List = []
         self._conns: List = []
@@ -317,9 +296,6 @@ class ShardWorkerPool:
         self._conns = []
         for shard in range(self.num_shards):
             parent_conn, child_conn = self._context.Pipe()
-            seed_sequence = np.random.SeedSequence(
-                self._base_seed, spawn_key=(shard,)
-            )
             worker = self._context.Process(
                 target=_shard_worker_main,
                 args=(
@@ -327,9 +303,7 @@ class ShardWorkerPool:
                     self._columns,
                     self._kernel,
                     self._base_bits,
-                    self._num_base_slots,
                     self._chunks_of(shard),
-                    seed_sequence,
                 ),
                 daemon=True,
                 name=f"rcbr-shard-{shard}",
@@ -341,27 +315,16 @@ class ShardWorkerPool:
             self._workers.append(worker)
             self._conns.append(parent_conn)
 
-    @property
-    def alive(self) -> bool:
-        return bool(self._workers) and all(
-            worker.is_alive() for worker in self._workers
-        )
+    def step(self, tick: int, use_downgrade: bool) -> None:
+        """Dispatch one epoch step and wait for every shard.
 
-    def heartbeat(self, timeout: Optional[float] = None) -> None:
-        """Watchdog round-trip: every worker must be alive and answering.
-
-        Run once per epoch before dispatching the step.  A worker that
-        died *between* epochs would otherwise surface only as an EOF
-        mid-step — or, with ``policy.timeout`` unset (the default), a
-        worker wedged without dying (e.g. SIGSTOP) would hang the
-        coordinator forever.  The liveness check catches silent deaths
-        before any pipe I/O; the ping round-trip bounds wedge detection
-        by ``timeout`` (default: ``policy.timeout`` or 5 s).  Failures
-        raise :class:`WorkerPoolError`, folding into the owner's
-        existing rebuild-or-degrade path.
+        The wait always has a deadline — ``policy.timeout``, else
+        :data:`STEP_DEADLINE` — so a worker wedged without dying (e.g.
+        SIGSTOP) cannot hang the coordinator.  A worker that died
+        between epochs is caught by the liveness check before any pipe
+        I/O: siblings forked after it hold its pipe's other end, so its
+        death never shows as EOF.
         """
-        if timeout is None:
-            timeout = self._policy.timeout or 5.0
         dead = [
             shard
             for shard, worker in enumerate(self._workers)
@@ -375,65 +338,17 @@ class ShardWorkerPool:
             )
         try:
             for conn in self._conns:
-                conn.send(("ping",))
-        except (BrokenPipeError, OSError) as error:
-            raise WorkerPoolError(f"shard worker pipe broke: {error}")
-        deadline = time.monotonic() + timeout
-        pending = dict(enumerate(self._conns))
-        while pending:
-            ready = _wait_connections(
-                list(pending.values()), timeout=self._policy.poll_interval
-            )
-            for conn in ready:
-                shard = next(
-                    index for index, c in pending.items() if c is conn
-                )
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError) as error:
-                    raise WorkerPoolError(
-                        f"shard {shard} died during heartbeat: {error}"
-                    )
-                if reply != ("pong",):
-                    raise WorkerPoolError(
-                        f"shard {shard} answered {reply!r} to a ping"
-                    )
-                del pending[shard]
-            if not pending:
-                return
-            for shard in pending:
-                if not self._workers[shard].is_alive():
-                    raise WorkerPoolError(
-                        f"shard {shard} died during heartbeat (exit code "
-                        f"{self._workers[shard].exitcode})"
-                    )
-            if time.monotonic() > deadline:
-                raise WorkerPoolError(
-                    f"shards {sorted(pending)} failed to answer the "
-                    f"heartbeat within {timeout}s"
-                )
-
-    def step(self, tick: int, use_downgrade: bool) -> None:
-        """Dispatch one epoch step and wait for every shard."""
-        try:
-            for conn in self._conns:
                 conn.send(("step", int(tick), bool(use_downgrade)))
         except (BrokenPipeError, OSError) as error:
             raise WorkerPoolError(f"shard worker pipe broke: {error}")
-        pending = dict(enumerate(self._conns))
-        deadline = (
-            None
-            if self._policy.timeout is None
-            else time.monotonic() + self._policy.timeout
-        )
+        timeout = self._policy.timeout or STEP_DEADLINE
+        deadline = time.monotonic() + timeout
+        pending = {conn: shard for shard, conn in enumerate(self._conns)}
         while pending:
-            ready = _wait_connections(
-                list(pending.values()), timeout=self._policy.poll_interval
-            )
-            for conn in ready:
-                shard = next(
-                    index for index, c in pending.items() if c is conn
-                )
+            for conn in _wait_connections(
+                list(pending), timeout=self._policy.poll_interval
+            ):
+                shard = pending.pop(conn)
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError) as error:
@@ -444,19 +359,16 @@ class ShardWorkerPool:
                     raise WorkerPoolError(
                         f"shard {shard} answered {reply!r} to tick {tick}"
                     )
-                del pending[shard]
-            if not pending:
-                return
-            for shard in pending:
+            for shard in pending.values():
                 if not self._workers[shard].is_alive():
                     raise WorkerPoolError(
                         f"shard {shard} exited with code "
                         f"{self._workers[shard].exitcode}"
                     )
-            if deadline is not None and time.monotonic() > deadline:
+            if pending and time.monotonic() > deadline:
                 raise WorkerPoolError(
-                    f"shards {sorted(pending)} exceeded the "
-                    f"{self._policy.timeout}s step timeout"
+                    f"shards {sorted(pending.values())} did not answer "
+                    f"tick {tick} within {timeout}s"
                 )
 
     def rebuild(self) -> None:
@@ -466,7 +378,7 @@ class ShardWorkerPool:
 
     def close(self) -> None:
         """Orderly shutdown; safe to call repeatedly."""
-        for conn, worker in zip(self._conns, self._workers):
+        for conn in self._conns:
             try:
                 conn.send(("stop",))
             except (BrokenPipeError, OSError):
@@ -480,6 +392,11 @@ class ShardWorkerPool:
             if worker.is_alive():
                 worker.terminate()
                 worker.join(timeout=1.0)
+            if worker.is_alive():
+                # SIGTERM stays pending on a stopped (SIGSTOP) process;
+                # SIGKILL does not.
+                worker.kill()
+                worker.join()
         for conn in self._conns:
             try:
                 conn.close()
@@ -493,12 +410,13 @@ class ShardedFleet(CallFleet):
     """A :class:`CallFleet` whose kernel state lives in shared memory.
 
     Pool bookkeeping (admission, free list, per-slot metadata) is
-    unchanged coordinator-side logic; only the per-epoch kernel step is
-    farmed out.  The step protocol is: write the downgrade column if
-    any, dispatch ``(tick, use_downgrade)`` to every worker, wait for
-    all, then reduce the deferred accounting columns and apply the
-    eligibility masks over the full-length shared arrays — every
-    reduction bit-identical to :meth:`CallFleet.step` on one process.
+    unchanged coordinator-side logic; only the kernel half of the epoch
+    step (:meth:`_advance`) is farmed out.  It writes the downgrade
+    column if any, dispatches ``(tick, use_downgrade)`` to every worker,
+    waits for all, then reduces the deferred accounting columns over
+    the full-length shared arrays; :meth:`CallFleet.step` then applies
+    its eligibility masks — every reduction bit-identical to the inline
+    step on one process.
     """
 
     def __init__(
@@ -510,7 +428,6 @@ class ShardedFleet(CallFleet):
         num_shards: int = 1,
         chunk_size: int = 4096,
         supervisor: Optional[SupervisorPolicy] = None,
-        seed: int = 0,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -527,61 +444,32 @@ class ShardedFleet(CallFleet):
         self.supervisor = (
             supervisor if supervisor is not None else SupervisorPolicy()
         )
-        self.seed = int(seed)
         self.pool_rebuilds = 0
         self.degraded = False
         self._pool: Optional[ShardWorkerPool] = None
-        self._columns = _SharedColumns(self._capacity, self.chunk_size)
         self._adopt_columns()
 
     # ------------------------------------------------------------------
     def _adopt_columns(self) -> None:
-        """Re-point fleet/kernel state at the shared column block."""
-        columns = self._columns
+        """Move fleet/kernel state onto a fresh shared column block."""
+        columns = _SharedColumns(self._capacity, self.chunk_size)
         state = self._state
         for name in ("rate", "estimate", "buffer"):
-            getattr(columns, name)[: getattr(state, name).size] = getattr(
-                state, name
-            )
+            getattr(columns, name)[:] = getattr(state, name)
             setattr(state, name, getattr(columns, name))
         state._candidate = columns.candidate
         state._scratch = columns.scratch
         state._wants = columns.wants
         state._wants_down = columns.wants_down
         state._cmp = columns.cmp
-        for mine, shared in (
-            ("active", columns.active),
-            ("pending", columns.pending),
-            ("shift", columns.shift),
-        ):
-            shared[: getattr(self, mine).size] = getattr(self, mine)
-            setattr(self, mine, shared)
+        for name in ("active", "pending", "shift"):
+            getattr(columns, name)[:] = getattr(self, name)
+            setattr(self, name, getattr(columns, name))
+        self._columns = columns
 
     def _grow(self) -> None:
-        old_capacity = self._capacity
-        new_capacity = old_capacity * 2
-        new_columns = _SharedColumns(new_capacity, self.chunk_size)
-        new_columns.copy_persistent_from(self._columns)
-        self._columns = new_columns
-        state = self._state
-        for name in ("rate", "estimate", "buffer"):
-            setattr(state, name, getattr(new_columns, name))
-        state._candidate = new_columns.candidate
-        state._scratch = new_columns.scratch
-        state._wants = new_columns.wants
-        state._wants_down = new_columns.wants_down
-        state._cmp = new_columns.cmp
-        self.active = new_columns.active
-        self.pending = new_columns.pending
-        self.shift = new_columns.shift
-        for name in ("streak", "call_id", "call_class"):
-            column = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=column.dtype)
-            grown[:old_capacity] = column
-            setattr(self, name, grown)
-        self.call_id[old_capacity:] = -1
-        self._free.extend(range(new_capacity - 1, old_capacity - 1, -1))
-        self._capacity = new_capacity
+        super()._grow()
+        self._adopt_columns()
         if self._pool is not None:
             # Workers hold views of the old block; respawn lazily on the
             # next step with the new one.  Growth happens between epoch
@@ -590,30 +478,21 @@ class ShardedFleet(CallFleet):
             self._pool = None
 
     # ------------------------------------------------------------------
-    def _spawn_pool(self) -> None:
-        self._pool = ShardWorkerPool(
-            self._columns,
-            self._kernel,
-            self._bits,
-            self._num_base_slots,
-            self.num_shards,
-            self.supervisor,
-            self.seed,
-        )
-
-    def step(
-        self, tick: int, downgrade: Optional[np.ndarray] = None
-    ) -> EpochStep:
+    def _advance(
+        self, tick: int, downgrade: Optional[np.ndarray]
+    ) -> "tuple[np.ndarray, np.ndarray]":
         columns = self._columns
         use_downgrade = downgrade is not None
         if use_downgrade:
             columns.downgrade[:] = downgrade
 
         if self._pool is None and not self.degraded:
-            self._spawn_pool()
+            self._pool = ShardWorkerPool(
+                columns, self._kernel, self._bits, self.num_shards,
+                self.supervisor,
+            )
         while self._pool is not None:
             try:
-                self._pool.heartbeat()
                 self._pool.step(tick, use_downgrade)
                 break
             except WorkerPoolError:
@@ -630,8 +509,8 @@ class ShardedFleet(CallFleet):
             # part of the tick.
             for chunk in range(columns.num_chunks):
                 _run_chunk(
-                    columns, self._kernel, self._bits,
-                    self._num_base_slots, chunk, tick, use_downgrade,
+                    columns, self._kernel, self._bits, chunk, tick,
+                    use_downgrade,
                 )
 
         merge_deferred_step(
@@ -640,16 +519,7 @@ class ShardedFleet(CallFleet):
             raw_arrivals=columns.arrivals if use_downgrade else None,
             scaled_arrivals=columns.scaled if use_downgrade else None,
         )
-
-        wants = self._state._wants
-        wants &= self.active
-        wants &= ~self.pending
-        self.epochs_stepped += 1
-        self.call_epochs_stepped += self.num_active
-        slots = np.flatnonzero(wants)
-        return EpochStep(
-            tick=tick, slots=slots, candidates=self._state._candidate[slots]
-        )
+        return self._state._wants, self._state._candidate
 
     def close(self) -> None:
         if self._pool is not None:
@@ -663,8 +533,7 @@ class ShardedFleet(CallFleet):
         """Coordinator-owned restore: write the persistent columns of the
         shared block in place, reset the chunk journals, and drop any
         live pool so the next step respawns workers against the restored
-        block — each re-deriving its canonical
-        ``SeedSequence(base_seed, spawn_key=(shard,))`` stream."""
+        block.  Workers draw no randomness, so nothing else is needed."""
         super().load_state(state)
         self._columns.chunk_started.fill(-1)
         self._columns.chunk_done.fill(-1)

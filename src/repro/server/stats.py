@@ -1,7 +1,7 @@
 """Server observability: periodic snapshots, the shutdown report, and the
 determinism fingerprint.
 
-A :class:`ServerSnapshot` is the gateway's heartbeat — the cumulative
+A :class:`ServerSnapshot` is the gateway's periodic pulse — the cumulative
 call, renegotiation, and signaling counters plus instantaneous gauges,
 emitted every ``snapshot_every`` seconds of simulated time.  The snapshot
 stream doubles as the determinism contract: :func:`snapshot_fingerprint`

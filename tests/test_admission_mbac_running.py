@@ -20,7 +20,7 @@ this file pins what makes the shortcut sound and fast:
 * **admit** touches no row: the seconds matrix and the segment starts
   keep their bits.
 * **Duplicate ids in a batch** keep their last rate, as the scalar
-  sequence does.
+  sequence does; **untracked ids** open no level column.
 * **Fallback rate**: on a churning memory-MBAC gateway shaped like the
   ``churn-mbac`` benchmark, almost no arrival reaches the exact fold.
 """
@@ -316,6 +316,31 @@ def test_duplicate_ids_in_a_batch_keep_their_last_rate(retain):
     got, want = batch.pooled_history(4.0), scalar.pooled_history(4.0)
     for left, right in zip(got, want):
         assert left.tobytes() == right.tobytes()
+
+
+@pytest.mark.parametrize("retain", [True, False])
+def test_untracked_ids_in_a_batch_add_no_level(retain):
+    """A batch naming calls the controller does not track (never
+    admitted, or departed) ignores them as the scalar callbacks do: their
+    rates open no level column."""
+    batch, scalar = MemoryMBAC(1e-3, retain_departed=retain), MemoryMBAC(
+        1e-3, retain_departed=retain
+    )
+    for controller in (batch, scalar):
+        for call_id in range(4):
+            controller.on_admit(call_id, 100.0 + call_id, 0.0)
+        controller.on_departure(3, 1.0)
+    ids = [9, 1, 3, 7]
+    rates = [9999.0, 300.0, 7777.0, 5555.0]
+    batch.on_reservation_batch(np.asarray(ids), np.asarray(rates), 2.0)
+    for call_id, rate in zip(ids, rates):
+        scalar.on_reservation(call_id, rate, 2.0)
+    assert 9999.0 not in batch._column_of
+    assert pickle.dumps(batch) == pickle.dumps(scalar)
+    # A batch of untracked ids only changes nothing at all.
+    before = pickle.dumps(batch)
+    batch.on_reservation_batch(np.asarray([42]), np.asarray([1234.0]), 2.5)
+    assert pickle.dumps(batch) == before
 
 
 # ----------------------------------------------------------------------

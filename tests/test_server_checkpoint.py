@@ -26,6 +26,8 @@ from repro.server.checkpoint import (
     read_checkpoint_meta,
     write_checkpoint,
 )
+from repro.perf.supervise import SupervisorPolicy
+from repro.server import sharded
 from repro.server.sharded import WorkerPoolError
 from repro.traffic.starwars import generate_starwars_trace
 
@@ -349,18 +351,6 @@ class TestGeneratorRoundTrip:
                 clone.bit_generator.state = saved
                 assert clone.random(100).tolist() == expected.tolist(), name
 
-    def test_per_shard_seedsequence_rederivation_is_stable(self):
-        # The sharded restore path does not serialize worker RNGs; it
-        # re-derives them from (base_seed, spawn_key=(shard,)).  That is
-        # only sound if the derivation is a pure function.
-        for shard in range(4):
-            draws = []
-            for _ in range(2):
-                seq = np.random.SeedSequence(11, spawn_key=(shard,))
-                rng = np.random.Generator(np.random.PCG64(seq))
-                draws.append(rng.random(50).tolist())
-            assert draws[0] == draws[1]
-
     def test_pickle_preserves_spawn_counter(self):
         # Fault injectors lazily spawn per-hop child streams, so they
         # are pickled wholesale: pickling a Generator must preserve the
@@ -644,6 +634,14 @@ class TestLifecycle:
 
 
 class TestWatchdog:
+    """The pool's one round trip per epoch is also its watchdog."""
+
+    @staticmethod
+    def unharmed(workload, cfg):
+        with build_gateway(workload, cfg) as reference:
+            reference.run(2.0, snapshot_every=1.0)
+            return reference.run(3.0, snapshot_every=1.0).fingerprint
+
     def test_heartbeat_detects_silent_death(self, workload):
         cfg = config(workload, shards=2, shard_chunk=16)
         with build_gateway(workload, cfg) as gateway:
@@ -653,32 +651,83 @@ class TestWatchdog:
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(5.0)
             with pytest.raises(WorkerPoolError, match="died silently"):
-                pool.heartbeat()
-
-    def test_healthy_pool_heartbeat_is_quiet(self, workload):
-        cfg = config(workload, shards=2, shard_chunk=16)
-        with build_gateway(workload, cfg) as gateway:
-            gateway.run(1.0)
-            gateway.fleet._pool.heartbeat()  # no exception
+                pool.step(gateway.fleet.epochs_stepped, False)
 
     def test_silent_death_between_epochs_rebuilds_and_preserves(
         self, workload
     ):
         cfg = config(workload, shards=2, shard_chunk=16)
-        with build_gateway(workload, cfg) as reference:
-            reference.run(2.0, snapshot_every=1.0)
-            expected = reference.run(3.0, snapshot_every=1.0).fingerprint
+        expected = self.unharmed(workload, cfg)
 
         with build_gateway(workload, cfg) as gateway:
             gateway.run(2.0, snapshot_every=1.0)
             # Kill a worker while the pool is idle: no send is in
-            # flight, so only the watchdog can notice before the next
-            # epoch's work is committed to a dead pipe.
+            # flight, so the next step's liveness check catches it
+            # before that epoch's work is sent down a dead pipe.
             victim = gateway.fleet._pool._workers[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(5.0)
             report = gateway.run(3.0, snapshot_every=1.0)
             assert gateway.fleet.pool_rebuilds >= 1
             assert not gateway.fleet.degraded
+
+        assert report.fingerprint == expected
+
+    def test_stopped_worker_is_rebuilt_and_reaped(self, workload):
+        """A worker SIGSTOPped between epochs misses the step's
+        deadline: the pool is rebuilt, the answer does not change, and
+        the stopped worker is killed and reaped, not left behind."""
+        cfg = config(workload, shards=2, shard_chunk=16)
+        expected = self.unharmed(workload, cfg)
+
+        with build_gateway(workload, cfg) as gateway:
+            gateway.fleet.supervisor = SupervisorPolicy(timeout=0.5)
+            gateway.run(2.0, snapshot_every=1.0)
+            victim = gateway.fleet._pool._workers[0]
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                report = gateway.run(3.0, snapshot_every=1.0)
+                assert gateway.fleet.pool_rebuilds >= 1
+                assert not gateway.fleet.degraded
+                assert not victim.is_alive()
+                assert victim.exitcode is not None
+            finally:
+                if victim.exitcode is None:
+                    os.kill(victim.pid, signal.SIGCONT)
+
+        assert report.fingerprint == expected
+
+    def test_default_deadline_bounds_a_wedged_step(
+        self, workload, monkeypatch
+    ):
+        """With no ``SupervisorPolicy.timeout`` the step still has a
+        deadline, so a worker stopped mid-run cannot hang the service."""
+        monkeypatch.setattr(sharded, "STEP_DEADLINE", 0.5)
+        cfg = config(workload, shards=2, shard_chunk=16)
+        with build_gateway(workload, cfg) as reference:
+            expected = reference.run(5.0, snapshot_every=1.0).fingerprint
+
+        stopped = []
+
+        def wedge(tick, gateway):
+            if tick >= 30 and not stopped:
+                stopped.append(gateway.fleet._pool._workers[1])
+                os.kill(stopped[0].pid, signal.SIGSTOP)
+            return False
+
+        with build_gateway(workload, cfg) as gateway:
+            assert gateway.fleet.supervisor.timeout is None
+            try:
+                report = gateway.run(
+                    5.0, snapshot_every=1.0, epoch_hook=wedge
+                )
+                assert stopped
+                assert gateway.fleet.pool_rebuilds >= 1
+                assert not gateway.fleet.degraded
+                assert stopped[0].exitcode is not None
+            finally:
+                for victim in stopped:
+                    if victim.exitcode is None:
+                        os.kill(victim.pid, signal.SIGCONT)
 
         assert report.fingerprint == expected
