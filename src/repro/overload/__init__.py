@@ -7,12 +7,11 @@ admitted call fighting over a saturated link and the playout buffers
 bleeding bits.  This package adds the missing link-level policy layer,
 in the spirit of Fricker et al.'s downgrading allocation schemes:
 
-* :class:`~repro.overload.plane.OverloadControlPlane` — watches
-  utilization/demand pressure on the shared link with hysteresis
-  (enter/exit thresholds plus a dwell time) so the policy cannot flap;
-* :class:`~repro.overload.policies.BlockOnlyPolicy` — the baseline:
-  admission blocking is the only control (today's behaviour, byte-for-
-  byte);
+* :class:`~repro.overload.plane.OverloadControlPlane` — one per link,
+  the classic service's only link included: watches its link's
+  utilization/demand pressure with hysteresis (enter/exit thresholds
+  plus a dwell time) so the policy cannot flap, and hands itself to
+  the policy, which acts on the gateway's calls routed over that link;
 * :class:`~repro.overload.policies.DowngradePolicy` — walks service
   classes down a resolution ladder, shrinking granted rates through the
   kernel's batched downgrade mask and restoring premium classes first
@@ -20,31 +19,27 @@ in the spirit of Fricker et al.'s downgrading allocation schemes:
 * :class:`~repro.overload.policies.SacrificePolicy` — temporarily
   evicts the cheapest-to-displace calls (deterministic, seeded victim
   selection) into a bounded requeue, readmitting them once the link
-  recovers;
-* :class:`~repro.overload.linkagent.LinkScopedOverloadAgent` — the
-  one link a plane+policy pair acts on, the classic service's only link
-  included, so every topology gets per-link overload control through
-  the same policies.
+  recovers.
+
+The baseline, ``block``, is no policy: admission blocking is the only
+control and :func:`~repro.overload.policies.policy_for_config` returns
+None, so the gateway builds no plane.
 """
 
-from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.policies import (
     OVERLOAD_POLICY_NAMES,
-    BlockOnlyPolicy,
     DowngradePolicy,
     OverloadPolicy,
     SacrificePolicy,
-    make_overload_policy,
+    policy_for_config,
 )
 
 __all__ = [
-    "LinkScopedOverloadAgent",
     "OverloadControlPlane",
     "OVERLOAD_POLICY_NAMES",
     "OverloadPolicy",
-    "BlockOnlyPolicy",
     "DowngradePolicy",
     "SacrificePolicy",
-    "make_overload_policy",
+    "policy_for_config",
 ]

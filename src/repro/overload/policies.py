@@ -1,18 +1,21 @@
-"""The three overload policies the control plane can drive.
+"""The overload policies a link's control plane can drive.
 
-A policy never touches the link or the fleet directly: it asks its
-link's agent (:class:`~repro.overload.linkagent.LinkScopedOverloadAgent`)
-for *actions* (shrink a class's granted rates, evict a call, readmit a
-queued one) and hands the fleet step a per-slot resolution
-scale array.  All arithmetic on arrivals stays in
-:mod:`repro.core.kernel`; all bandwidth bookkeeping stays in the
-gateway's existing link/port/controller paths.  Policies therefore
-compose with faults, retries, and every admission controller without
-new special cases.
+A policy holds no reference to the gateway: each epoch its plane
+(:class:`~repro.overload.plane.OverloadControlPlane`) hands itself to
+:meth:`OverloadPolicy.on_epoch`, and the policy acts on the plane's
+link members through the gateway's per-call actions, by event key
+(shrink a call's granted rate, evict a call, readmit a queued one),
+and hands the fleet step a per-class resolution factor array.  All
+arithmetic on arrivals stays in :mod:`repro.core.kernel`; all bandwidth
+bookkeeping stays in the gateway's existing link/port/controller paths.
+Policies therefore compose with faults, retries, and every admission
+controller without new special cases.  The ``block`` baseline is no
+policy at all: :func:`policy_for_config` returns None and the gateway
+builds no plane.
 
-Determinism: a policy draws only from the dedicated overload RNG stream
-the gateway spawns for it (victim tie-breaks), walks pool slots in
-ascending order, and keeps plain-integer counters — same seed, same
+Determinism: a policy draws only from its plane's dedicated overload
+RNG stream (victim tie-breaks), walks calls in ascending ``(group,
+slot)`` order, and keeps plain-integer counters — same seed, same
 decisions, bit for bit.
 """
 
@@ -23,67 +26,44 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.slots import GROUP_STRIDE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.overload.linkagent import LinkScopedOverloadAgent
+    from repro.overload.plane import OverloadControlPlane
 
 __all__ = [
     "OVERLOAD_POLICY_NAMES",
     "OverloadPolicy",
-    "BlockOnlyPolicy",
     "DowngradePolicy",
     "SacrificePolicy",
-    "make_overload_policy",
     "policy_for_config",
 ]
 
-#: Policy names accepted by :func:`make_overload_policy` and the CLI.
+#: Policy names accepted by ``ServerConfig.overload_policy`` and the CLI.
 OVERLOAD_POLICY_NAMES = ("block", "downgrade", "sacrifice")
 
 #: A sacrificed call waiting for readmission: (call_class, workload
 #: shift, remaining holding time in seconds, flow group).  The policy
-#: carries the tuple opaquely back to ``overload_readmit``.
+#: carries the tuple back to the gateway's ``_readmit``.
 QueuedCall = Tuple[int, int, float, int]
 
 
 class OverloadPolicy:
-    """Base policy: bound to a gateway by the control plane, driven once
-    per epoch, contributing a section to the snapshot stream."""
+    """Base policy: driven once per epoch by its link's plane,
+    contributing a section to the snapshot stream."""
 
     name = "base"
 
-    def __init__(self) -> None:
-        self._gateway: Optional["LinkScopedOverloadAgent"] = None
-        self._num_classes = 1
-        self._rng: Optional[np.random.Generator] = None
-        self._enter = 1.0
-        self._exit = 1.0
-
-    def bind(
-        self,
-        gateway: "LinkScopedOverloadAgent",
-        num_classes: int,
-        rng: np.random.Generator,
-        enter: float,
-        exit_: float,
-    ) -> None:
-        self._gateway = gateway
-        self._num_classes = int(num_classes)
-        self._rng = rng
-        self._enter = float(enter)
-        self._exit = float(exit_)
-
     def on_epoch(
         self,
-        overloaded: bool,
+        plane: "OverloadControlPlane",
         entered: bool,
-        exited: bool,
-        pressure: float,
         tick: int,
         now: float,
     ) -> Optional[np.ndarray]:
-        """One control decision per epoch; returns the per-slot
-        resolution scale array for the fleet step, or ``None`` for the
+        """One control decision per epoch, on ``plane``'s link (just
+        entered overload if ``entered``); returns the per-class
+        resolution factors for the fleet step, or ``None`` for the
         bit-identical no-downgrade path."""
         return None
 
@@ -94,30 +74,16 @@ class OverloadPolicy:
     def state_dict(self) -> Dict[str, Any]:
         """Export mutable policy state for a checkpoint.
 
-        Policies hold live gateway and RNG references through ``bind()``
-        and so are never pickled as objects; the checkpoint stores this
-        explicit state and replays it into a freshly bound policy.  The
-        RNG stream itself is owned (and checkpointed) by the gateway.
+        The RNG stream the policy draws on is owned (and checkpointed)
+        by the gateway.
         """
         return {}
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` export into a bound policy."""
+        """Restore a :meth:`state_dict` export."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-class BlockOnlyPolicy(OverloadPolicy):
-    """The baseline: admission blocking is the only overload control.
-
-    The gateway does not even instantiate a control plane for this
-    policy, keeping the snapshot stream byte-identical to pre-overload
-    builds; the class exists so comparison sweeps and the fluid model
-    can treat "do nothing" as a first-class policy.
-    """
-
-    name = "block"
 
 
 class DowngradePolicy(OverloadPolicy):
@@ -140,10 +106,12 @@ class DowngradePolicy(OverloadPolicy):
 
     def __init__(
         self,
+        num_classes: int,
         ladder: Sequence[float] = (1.0, 0.75, 0.5, 0.35),
         dwell: int = 8,
     ) -> None:
-        super().__init__()
+        if num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
         ladder = tuple(float(factor) for factor in ladder)
         if len(ladder) < 2:
             raise ValueError("ladder needs at least two rungs")
@@ -158,17 +126,12 @@ class DowngradePolicy(OverloadPolicy):
             raise ValueError("dwell must be >= 1")
         self.ladder = ladder
         self.dwell = int(dwell)
-        self.levels: "list[int]" = []
+        self.levels = [0] * int(num_classes)
         self.escalations = 0
         self.restorations = 0
         self.calls_shrunk = 0
         self._last_action_tick: Optional[int] = None
-        self._factors: Optional[np.ndarray] = None
-
-    def bind(self, gateway, num_classes, rng, enter, exit_) -> None:
-        super().bind(gateway, num_classes, rng, enter, exit_)
-        self.levels = [0] * self._num_classes
-        self._factors = np.ones(self._num_classes)
+        self._factors = np.ones(int(num_classes))
 
     def _due(self, tick: int) -> bool:
         return (
@@ -176,35 +139,47 @@ class DowngradePolicy(OverloadPolicy):
             or tick - self._last_action_tick >= self.dwell
         )
 
-    def on_epoch(self, overloaded, entered, exited, pressure, tick, now):
-        if overloaded and (entered or self._due(tick)):
-            self._escalate(tick, now)
-        elif not overloaded and any(self.levels) and self._due(tick):
+    def on_epoch(self, plane, entered, tick, now):
+        if plane.overloaded and (entered or self._due(tick)):
+            self._escalate(plane, tick, now)
+        elif not plane.overloaded and any(self.levels) and self._due(tick):
             self._restore(tick)
-        if not any(self.levels):
-            return None
-        # Per-slot scale: class factor fancy-indexed by the class column.
-        # Inactive slots carry exact-zero arrivals, so their factor is
-        # irrelevant to the kernel's accounting.
-        return self._factors[self._gateway.fleet.call_class]
+        # The gateway gathers the factors by each call's class.
+        return self._factors if any(self.levels) else None
 
-    def _escalate(self, tick: int, now: float) -> None:
+    def _escalate(self, plane, tick: int, now: float) -> None:
         floor = len(self.ladder) - 1
-        for call_class in range(self._num_classes - 1, -1, -1):
+        for call_class in range(len(self.levels) - 1, -1, -1):
             level = self.levels[call_class]
             if level < floor:
                 self.levels[call_class] = level + 1
                 ratio = self.ladder[level + 1] / self.ladder[level]
                 self._factors[call_class] = self.ladder[level + 1]
-                self.calls_shrunk += self._gateway.overload_shrink_class(
-                    call_class, ratio, now
+                self.calls_shrunk += self._shrink_class(
+                    plane, call_class, ratio, now
                 )
                 self.escalations += 1
                 self._last_action_tick = tick
                 return
 
+    @staticmethod
+    def _shrink_class(plane, call_class: int, ratio: float, now: float) -> int:
+        """Shrink every link member of ``call_class`` by ``ratio``, in
+        ascending (group, slot) order; returns how many moved."""
+        gateway = plane.gateway
+        shrunk = 0
+        for group, (members, fleet) in enumerate(
+            zip(plane.members(), gateway._fleets)
+        ):
+            slots = np.flatnonzero(members & (fleet.call_class == call_class))
+            for slot in slots.tolist():
+                shrunk += gateway._shrink_call(
+                    group * GROUP_STRIDE + slot, ratio, now
+                )
+        return shrunk
+
     def _restore(self, tick: int) -> None:
-        for call_class in range(self._num_classes):
+        for call_class in range(len(self.levels)):
             level = self.levels[call_class]
             if level > 0:
                 self.levels[call_class] = level - 1
@@ -228,7 +203,7 @@ class DowngradePolicy(OverloadPolicy):
             "restorations": self.restorations,
             "calls_shrunk": self.calls_shrunk,
             "last_action_tick": self._last_action_tick,
-            "factors": None if self._factors is None else self._factors.copy(),
+            "factors": self._factors.copy(),
         }
 
     def load_state(self, state: Dict[str, Any]) -> None:
@@ -238,8 +213,7 @@ class DowngradePolicy(OverloadPolicy):
         self.calls_shrunk = int(state["calls_shrunk"])
         last = state["last_action_tick"]
         self._last_action_tick = None if last is None else int(last)
-        factors = state["factors"]
-        self._factors = None if factors is None else np.asarray(factors).copy()
+        self._factors = np.asarray(state["factors"]).copy()
 
 
 class SacrificePolicy(OverloadPolicy):
@@ -262,7 +236,6 @@ class SacrificePolicy(OverloadPolicy):
     name = "sacrifice"
 
     def __init__(self, queue_size: int = 64, max_per_epoch: int = 2) -> None:
-        super().__init__()
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         if max_per_epoch < 1:
@@ -274,16 +247,18 @@ class SacrificePolicy(OverloadPolicy):
         self.readmitted = 0
         self.dropped = 0
 
-    def on_epoch(self, overloaded, entered, exited, pressure, tick, now):
-        gateway = self._gateway
-        if overloaded:
+    def on_epoch(self, plane, entered, tick, now):
+        gateway = plane.gateway
+        if plane.overloaded:
             for _ in range(self.max_per_epoch):
-                if gateway.overload_pressure() < self._enter:
+                if plane.pressure() < plane.enter:
                     break
-                victim = self._select_victim()
-                if victim is None:
+                key = self._select_victim(plane)
+                if key is None:
                     break
-                entry = gateway.overload_evict(victim, now)
+                # The entry carries the flow group, so readmission
+                # re-routes within the right group.
+                entry = (*gateway._evict_call(key, now), key // GROUP_STRIDE)
                 self.sacrificed += 1
                 if len(self.queue) >= self.queue_size:
                     self.dropped += 1
@@ -293,25 +268,37 @@ class SacrificePolicy(OverloadPolicy):
             for _ in range(self.max_per_epoch):
                 if not self.queue:
                     break
-                if gateway.overload_pressure() > self._exit:
+                if plane.pressure() > plane.exit:
                     break
-                gateway.overload_readmit(self.queue.popleft(), now)
+                call_class, shift, remaining, group = self.queue.popleft()
+                gateway._readmit(group, call_class, shift, remaining, now)
                 self.readmitted += 1
         return None
 
-    def _select_victim(self) -> Optional[int]:
-        """Pool slot of the cheapest-to-displace active call."""
-        fleet = self._gateway.fleet
-        active = np.flatnonzero(fleet.active)
-        if active.size == 0:
+    @staticmethod
+    def _select_victim(plane) -> Optional[int]:
+        """Event key of the cheapest-to-displace call on the plane's
+        link; candidates in ascending (group, slot) order."""
+        members = plane.members()
+        fleets = plane.gateway._fleets
+        keys = np.concatenate([
+            np.flatnonzero(mask) + group * GROUP_STRIDE
+            for group, mask in enumerate(members)
+        ])
+        if keys.size == 0:
             return None
-        classes = fleet.call_class[active]
-        candidates = active[classes == classes.max()]
-        rates = fleet.rate[candidates]
-        ties = candidates[rates == rates.max()]
+        classes = np.concatenate(
+            [fleet.call_class[mask] for fleet, mask in zip(fleets, members)]
+        )
+        rates = np.concatenate(
+            [fleet.rate[mask] for fleet, mask in zip(fleets, members)]
+        )
+        top = classes == classes.max()
+        keys, rates = keys[top], rates[top]
+        ties = keys[rates == rates.max()]
         if ties.size == 1:
             return int(ties[0])
-        return int(ties[int(self._rng.integers(ties.size))])
+        return int(ties[int(plane.rng.integers(ties.size))])
 
     def section(self) -> Dict[str, Any]:
         return {
@@ -339,27 +326,15 @@ class SacrificePolicy(OverloadPolicy):
         self.dropped = int(state["dropped"])
 
 
-def make_overload_policy(name: str, **kwargs) -> OverloadPolicy:
-    """Build an overload policy by CLI name."""
-    if name == "block":
-        return BlockOnlyPolicy()
-    if name == "downgrade":
-        return DowngradePolicy(**kwargs)
-    if name == "sacrifice":
-        return SacrificePolicy(**kwargs)
-    raise ValueError(
-        f"unknown overload policy {name!r}; "
-        f"expected one of {OVERLOAD_POLICY_NAMES}"
-    )
-
-
 def policy_for_config(config) -> Optional[OverloadPolicy]:
     """The policy a :class:`~repro.server.config.ServerConfig` asks a
     plane to drive, or None for ``block``: no plane at all, so the
     baseline takes the exact pre-overload code path."""
     if config.overload_policy == "downgrade":
         return DowngradePolicy(
-            ladder=config.downgrade_ladder, dwell=config.overload_dwell
+            config.overload_classes,
+            ladder=config.downgrade_ladder,
+            dwell=config.overload_dwell,
         )
     if config.overload_policy == "sacrifice":
         return SacrificePolicy(

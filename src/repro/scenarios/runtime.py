@@ -57,9 +57,8 @@ integrals stay honest.
 
 Overload beyond blocking: with ``overload_policy`` ≠ ``block`` the
 gateway runs one :class:`~repro.overload.plane.OverloadControlPlane`
-per link, each driving the downgrade/sacrifice policy through a
-:class:`~repro.overload.linkagent.LinkScopedOverloadAgent` whose victim
-pool is the calls routed over that link.  Downgrade factors from
+per link, each driving the downgrade/sacrifice policy over the calls
+routed across that link.  Downgrade factors from
 multiple congested links combine per call by minimum.  With the default
 ``block`` policy no plane exists and the epoch sequence is
 byte-identical to the pre-overload runtime.

@@ -30,6 +30,7 @@ proves both sides agree.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import signal
 import threading
@@ -113,8 +114,15 @@ def checkpoint_code_version() -> str:
 
 
 def config_fingerprint(config: "ServerConfig") -> str:
-    """Canonical hash of everything the config determines."""
-    return fingerprint(config.to_dict())
+    """Canonical hash of everything the config determines.
+
+    ``online_params`` is hashed only when set, so a config without it
+    keeps the hash of its :meth:`~ServerConfig.to_dict` echo.
+    """
+    stamped = config.to_dict()
+    if config.online_params is not None:
+        stamped["online_params"] = dataclasses.asdict(config.online_params)
+    return fingerprint(stamped)
 
 
 def workload_fingerprint(workload: "SlottedWorkload") -> str:

@@ -94,9 +94,8 @@ fleets through one code path.
 
 When offered load stays above capacity, an optional overload control
 plane per link (:mod:`repro.overload`) watches pressure on its link
-with hysteresis and applies the configured policy, through a
-:class:`~repro.overload.linkagent.LinkScopedOverloadAgent` over the
-calls routed across that link — downgrade walks service
+with hysteresis and applies the configured policy to the calls routed
+across that link, by event key — downgrade walks service
 classes down a resolution ladder (granted rates shrink immediately,
 future arrivals shrink through the kernel's downgrade mask), sacrifice
 evicts the cheapest-to-displace calls into a bounded requeue.  The
@@ -129,7 +128,6 @@ from repro.admission.callsim import arrival_rate_for_load
 from repro.admission.controllers import AdmissionController
 from repro.admission.offered import OfferedLoadAccountant
 from repro.faults.injectors import FaultPlan
-from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.policies import policy_for_config
 from repro.queueing.events import Event, EventScheduler
@@ -454,20 +452,19 @@ class RcbrGateway:
 
     def _new_plane(self, index: int) -> Optional[OverloadControlPlane]:
         """Link ``index``'s overload plane, driving the configured policy
-        through a :class:`LinkScopedOverloadAgent` over the calls routed
-        across that link; None under block, so the baseline takes the
-        exact pre-overload code path."""
+        over the calls routed across that link; None under block, so the
+        baseline takes the exact pre-overload code path."""
         config = self.config
         policy = policy_for_config(config)
         if policy is None:
             return None
         return OverloadControlPlane(
-            LinkScopedOverloadAgent(self, index),
+            self,
+            index,
             policy,
             enter=config.overload_enter,
             exit_=config.overload_exit,
             dwell=config.overload_dwell,
-            num_classes=self.num_classes,
             rng=self._plane_rng,
         )
 
@@ -900,20 +897,20 @@ class RcbrGateway:
 
     def _poll_link_planes(self, tick: int, now: float) -> Optional[List[np.ndarray]]:
         """Drive each link's overload plane once, in link order, and fold
-        the downgrade factors of those that ask, each masked to its
-        link's calls, into per-group columns by minimum.  A call on the
-        link keeps the plane's factor bit for bit; the mask only resets
-        other slots to 1.0, and an inactive slot's factor scales zero
-        arrivals.  None when no plane asks (always under block)."""
+        the per-class downgrade factors of those that ask, gathered by
+        each call's class and masked to the link's calls, into per-group
+        columns by minimum.  A call on the link keeps the plane's factor
+        bit for bit; the mask only resets other slots to 1.0, and an
+        inactive slot's factor scales zero arrivals.  None when no plane
+        asks (always under block)."""
         combined: Optional[List[np.ndarray]] = None
-        for index, plane in enumerate(self.link_planes):
+        for plane in self.link_planes:
             factors = None if plane is None else plane.on_epoch(tick, now)
             if factors is None:
                 continue
-            parts = np.split(factors, np.cumsum([f.capacity for f in self._fleets])[:-1])
             parts = [
-                np.where(member, part, 1.0)
-                for member, part in zip(self.link_members(index), parts)
+                np.where(member, factors[fleet.call_class], 1.0)
+                for member, fleet in zip(plane.members(), self._fleets)
             ]
             combined = parts if combined is None else list(map(np.minimum, combined, parts))
         return combined

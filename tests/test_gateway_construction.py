@@ -6,13 +6,12 @@ over them; a route graph one fleet per flow group, one link per link
 spec and, per flow group in flow order, a route record (with its
 signaling path) for each of its ``route_k`` shortest routes.  Either
 way every link gets one overload plane (unless the policy is block),
-each driving a :class:`LinkScopedOverloadAgent`.  Nothing is built and
+each holding the gateway itself and its own link.  Nothing is built and
 then thrown away, and a restore builds nothing.
 """
 
 import pytest
 
-from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
 from repro.scenarios import ScenarioHarness, get_scenario
 from repro.server import RcbrGateway, ServerConfig, build_gateway
@@ -74,7 +73,7 @@ def expected_candidates(spec):
 
 
 class TestGraphConstruction:
-    def test_one_plane_per_link_each_on_its_agent(self, monkeypatch):
+    def test_one_plane_per_link_each_on_its_link(self, monkeypatch):
         planes = record_constructions(monkeypatch, OverloadControlPlane)
         spec = downgrade_ring()
         with ScenarioHarness(spec) as harness:
@@ -83,8 +82,9 @@ class TestGraphConstruction:
             assert len(planes) == len(spec.links)
             assert gateway.link_planes == planes
             for index, plane in enumerate(planes):
-                assert isinstance(plane.gateway, LinkScopedOverloadAgent)
-                assert plane.gateway.link is gateway.links[index]
+                assert plane.gateway is gateway
+                assert plane.index == index
+                assert plane.link is gateway.links[index]
             assert gateway.overload_plane is None
 
     def test_routes_are_each_flows_candidates_in_flow_order(self, monkeypatch):
@@ -150,5 +150,5 @@ def test_classic_builds_one_path_and_at_most_one_plane(monkeypatch, policy):
         assert gateway.link_planes == [gateway.overload_plane]
         assert planes == ([] if policy == "block" else [gateway.overload_plane])
         for plane in planes:
-            assert isinstance(plane.gateway, LinkScopedOverloadAgent)
-            assert plane.gateway.link is gateway.link
+            assert plane.gateway is gateway
+            assert plane.link is gateway.links[0] is gateway.link

@@ -6,26 +6,27 @@ gateway (so the plane is the only overload control) offered 1.3-1.5x
 the capacity of a link sized at 20 mean rates.
 """
 
+import json
 import os
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.overload import (
     OVERLOAD_POLICY_NAMES,
-    BlockOnlyPolicy,
     DowngradePolicy,
     OverloadControlPlane,
+    OverloadPolicy,
     SacrificePolicy,
-    make_overload_policy,
+    policy_for_config,
 )
-from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.perf.sweeps import overload_cell
 from repro.queueing.fluid import simulate_downgrade_fluid
 from repro.server import RcbrGateway, ServerConfig, serve
 from repro.traffic.starwars import generate_starwars_trace
+from repro.util.slots import GROUP_STRIDE
 
 
 @pytest.fixture(scope="module")
@@ -46,28 +47,29 @@ def saturated_config(workload, **overrides):
     return ServerConfig(**defaults)
 
 
-def fake_gateway(capacity=100.0):
-    """A pressure source the plane can poll without a full gateway: a
-    link whose fields the tests set, read through the agent protocol's
-    ``overload_pressure`` exactly as :class:`LinkScopedOverloadAgent`
-    does."""
+def fake_gateway(capacity=100.0, fleets=()):
+    """A gateway the plane can poll without building one: a single link
+    whose fields the tests set, and flow-group fleets whose ``active``
+    calls all cross it."""
     link = SimpleNamespace(allocated=0.0, total_demand=0.0, capacity=capacity)
-    gateway = SimpleNamespace(link=link, fleet=None)
-    gateway.overload_pressure = partial(
-        LinkScopedOverloadAgent.overload_pressure, gateway
+    fleets = list(fleets)
+    return SimpleNamespace(
+        links=[link],
+        link=link,
+        _fleets=fleets,
+        link_members=lambda index: [fleet.active for fleet in fleets],
     )
-    return gateway
 
 
-def make_plane(gateway, policy=None, enter=0.9, exit_=0.7, dwell=3):
+def make_plane(gateway, policy=None, enter=0.9, exit_=0.7, dwell=3, seed=0):
     return OverloadControlPlane(
         gateway,
-        policy or BlockOnlyPolicy(),
+        0,
+        policy or OverloadPolicy(),
         enter=enter,
         exit_=exit_,
         dwell=dwell,
-        num_classes=2,
-        rng=np.random.default_rng(0),
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -142,23 +144,60 @@ class TestHysteresis:
 
 
 class TestPolicyConstruction:
-    def test_factory_covers_all_names(self):
-        for name in OVERLOAD_POLICY_NAMES:
-            assert make_overload_policy(name).name == name
+    """:func:`policy_for_config` is the one factory."""
 
-    def test_factory_rejects_unknown(self):
+    def test_factory_covers_all_names(self, workload):
+        for name in OVERLOAD_POLICY_NAMES:
+            policy = policy_for_config(
+                saturated_config(workload, overload_policy=name)
+            )
+            if name == "block":
+                assert policy is None
+            else:
+                assert policy.name == name
+
+    def test_factory_rejects_unknown(self, workload):
         with pytest.raises(ValueError):
-            make_overload_policy("shrug")
+            policy_for_config(saturated_config(workload, overload_policy="shrug"))
+
+    def test_factory_carries_the_config(self, workload):
+        downgrade = policy_for_config(
+            saturated_config(
+                workload,
+                overload_policy="downgrade",
+                downgrade_ladder=(1.0, 0.6, 0.3),
+                overload_dwell=5,
+                overload_classes=4,
+            )
+        )
+        assert isinstance(downgrade, DowngradePolicy)
+        assert downgrade.ladder == (1.0, 0.6, 0.3)
+        assert downgrade.dwell == 5
+        assert downgrade.levels == [0, 0, 0, 0]
+        assert downgrade.state_dict()["factors"].tolist() == [1.0] * 4
+        sacrifice = policy_for_config(
+            saturated_config(
+                workload,
+                overload_policy="sacrifice",
+                sacrifice_queue=7,
+                sacrifice_max_per_epoch=3,
+            )
+        )
+        assert isinstance(sacrifice, SacrificePolicy)
+        assert sacrifice.queue_size == 7
+        assert sacrifice.max_per_epoch == 3
 
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
-            DowngradePolicy(ladder=(1.0,))
+            DowngradePolicy(3, ladder=(1.0,))
         with pytest.raises(ValueError):
-            DowngradePolicy(ladder=(0.9, 0.5))
+            DowngradePolicy(3, ladder=(0.9, 0.5))
         with pytest.raises(ValueError):
-            DowngradePolicy(ladder=(1.0, 0.5, 0.7))
+            DowngradePolicy(3, ladder=(1.0, 0.5, 0.7))
         with pytest.raises(ValueError):
-            DowngradePolicy(dwell=0)
+            DowngradePolicy(3, dwell=0)
+        with pytest.raises(ValueError):
+            DowngradePolicy(0)
 
     def test_sacrifice_validation(self):
         with pytest.raises(ValueError):
@@ -167,44 +206,93 @@ class TestPolicyConstruction:
             SacrificePolicy(max_per_epoch=0)
 
 
+def frozen_concatenated_victim(fleets, rng):
+    """The victim search as it ran over one concatenated view of every
+    flow group's fleet, frozen here as the reference: the pick as an
+    event key."""
+    active = np.flatnonzero(np.concatenate([f.active for f in fleets]))
+    if active.size == 0:
+        return None
+    call_class = np.concatenate([f.call_class for f in fleets])
+    rate = np.concatenate([f.rate for f in fleets])
+    classes = call_class[active]
+    candidates = active[classes == classes.max()]
+    rates = rate[candidates]
+    ties = candidates[rates == rates.max()]
+    view = int(ties[0]) if ties.size == 1 else int(
+        ties[int(rng.integers(ties.size))]
+    )
+    for group, fleet in enumerate(fleets):
+        if view < fleet.active.size:
+            return group * GROUP_STRIDE + view
+        view -= fleet.active.size
+    raise AssertionError("view slot beyond the pooled slots")
+
+
 class TestSacrificeVictimSelection:
-    def _policy_with_fleet(self, active, call_class, rate, seed=0):
-        policy = SacrificePolicy()
-        fleet = SimpleNamespace(
+    @staticmethod
+    def fleet(active, call_class, rate):
+        return SimpleNamespace(
             active=np.asarray(active, dtype=bool),
             call_class=np.asarray(call_class),
             rate=np.asarray(rate, dtype=float),
         )
-        policy.bind(
-            SimpleNamespace(fleet=fleet), 3,
-            np.random.default_rng(seed), 0.95, 0.85,
+
+    def _plane_with_fleet(self, active, call_class, rate, seed=0):
+        fleets = [self.fleet(active, call_class, rate)]
+        return make_plane(
+            fake_gateway(fleets=fleets), SacrificePolicy(), 0.95, 0.85,
+            seed=seed,
         )
-        return policy
 
     def test_lowest_priority_class_goes_first(self):
-        policy = self._policy_with_fleet(
+        plane = self._plane_with_fleet(
             [True, True, True], [0, 2, 1], [9.0, 1.0, 5.0]
         )
-        assert policy._select_victim() == 1
+        assert SacrificePolicy._select_victim(plane) == 1
 
     def test_largest_rate_within_class_goes_first(self):
-        policy = self._policy_with_fleet(
+        plane = self._plane_with_fleet(
             [True, True, True], [2, 2, 2], [1.0, 7.0, 3.0]
         )
-        assert policy._select_victim() == 1
+        assert SacrificePolicy._select_victim(plane) == 1
 
     def test_ties_break_deterministically_by_seed(self):
         picks = {
-            seed: self._policy_with_fleet(
-                [True] * 4, [1, 1, 1, 1], [2.0] * 4, seed=seed
-            )._select_victim()
+            seed: SacrificePolicy._select_victim(
+                self._plane_with_fleet(
+                    [True] * 4, [1, 1, 1, 1], [2.0] * 4, seed=seed
+                )
+            )
             for seed in (0, 0)
         }
         assert len(set(picks.values())) == 1
 
     def test_no_active_calls_yields_none(self):
-        policy = self._policy_with_fleet([False, False], [0, 0], [1.0, 1.0])
-        assert policy._select_victim() is None
+        plane = self._plane_with_fleet([False, False], [0, 0], [1.0, 1.0])
+        assert SacrificePolicy._select_victim(plane) is None
+
+    def test_two_group_ties_match_the_concatenated_view(self):
+        """Ties spanning two flow groups draw over the same candidates,
+        in the same order, as the search over one concatenated view."""
+        fleets = [
+            self.fleet([True, False, True, True], [2, 2, 2, 1],
+                       [4.0, 9.0, 4.0, 8.0]),
+            self.fleet([True, True, False], [2, 2, 2], [4.0, 3.0, 4.0]),
+        ]
+        picks = set()
+        for seed in range(16):
+            plane = make_plane(
+                fake_gateway(fleets=fleets), SacrificePolicy(), 0.95, 0.85,
+                seed=seed,
+            )
+            pick = SacrificePolicy._select_victim(plane)
+            expected = frozen_concatenated_victim(
+                fleets, np.random.default_rng(seed)
+            )
+            assert pick == expected
+            picks.add(pick)
+        assert picks == {0, 2, GROUP_STRIDE}
 
 
 class TestBlockIdentity:
@@ -270,46 +358,77 @@ class TestBlockIdentity:
 
 
 class TestGatewayActions:
+    """Shrink, evict and readmit, driven through a plane and its policy
+    on a live gateway."""
+
     def test_shrink_class_reduces_rates_and_link_share(self, workload):
         gateway = RcbrGateway(
             workload,
             saturated_config(
-                workload, load=0.0, capacity=40 * workload.mean_rate
+                workload,
+                load=0.0,
+                capacity=40 * workload.mean_rate,
+                overload_policy="downgrade",
+                overload_enter=0.1,
+                overload_exit=0.05,
+                overload_dwell=1,
             ),
         )
         gateway.preload()
+        plane = gateway.overload_plane
+        policy = plane.policy
         before = gateway.link.allocated
-        target = int(gateway.fleet.call_class[0])
+        target = gateway.num_classes - 1  # escalation starts at the bottom
         slots = np.flatnonzero(
             gateway.fleet.active
             & (gateway.fleet.call_class == target)
         )
+        others = np.flatnonzero(
+            gateway.fleet.active
+            & (gateway.fleet.call_class != target)
+        )
         old_rates = gateway.fleet.rate[slots].copy()
-        agent = LinkScopedOverloadAgent(gateway, 0)
-        shrunk = agent.overload_shrink_class(target, 0.5, 0.0)
-        assert shrunk > 0
+        other_rates = gateway.fleet.rate[others].copy()
+        factors = plane.on_epoch(0, 0.0)
+        assert plane.overloaded
+        assert policy.levels[target] == 1
+        assert factors[target] == policy.ladder[1]
+        assert policy.calls_shrunk > 0
         assert gateway.link.allocated < before
         assert np.all(gateway.fleet.rate[slots] <= old_rates)
+        assert np.array_equal(gateway.fleet.rate[others], other_rates)
 
     def test_evict_then_readmit_balances_counters(self, workload):
         gateway = RcbrGateway(
             workload,
             saturated_config(
-                workload, load=0.0, capacity=40 * workload.mean_rate
+                workload,
+                load=0.0,
+                capacity=40 * workload.mean_rate,
+                overload_policy="sacrifice",
+                overload_enter=0.1,
+                overload_exit=0.05,
+                overload_dwell=1,
+                sacrifice_max_per_epoch=1,
             ),
         )
         gateway.preload()
+        plane = gateway.overload_plane
         active_before = int(gateway.fleet.active.sum())
-        slot = int(np.flatnonzero(gateway.fleet.active)[0])
-        agent = LinkScopedOverloadAgent(gateway, 0)
-        entry = agent.overload_evict(slot, 1.0)
+        plane.on_epoch(0, 0.0)  # enters overload and evicts one call
+        assert plane.overloaded
         assert int(gateway.fleet.active.sum()) == active_before - 1
         assert gateway.departed == 1
         assert gateway.abandoned == 1
+        (entry,) = plane.policy.queue
         call_class, shift, remaining, group = entry
         assert remaining > 0.0
         assert group == 0
-        agent.overload_readmit(entry, 2.0)
+        plane.pressure = lambda: 0.0  # the link has drained
+        plane.on_epoch(1, 0.1)  # leaves overload and readmits it
+        assert not plane.overloaded
+        assert not plane.policy.queue
+        assert plane.policy.readmitted == 1
         assert int(gateway.fleet.active.sum()) == active_before
         assert gateway.arrivals == gateway.blocked + gateway.admitted
         assert gateway.offered.consistent()
@@ -344,6 +463,42 @@ class TestGatewayActions:
         final = report.final
         assert final.arrivals == final.blocked + final.admitted
         assert final.active_calls == final.admitted - final.departed
+
+
+class TestSaturatedServePins:
+    """The two unfaulted classic-link overload serves CI's overload
+    smoke runs, pinned through the CLI (so the wiring from the overload
+    flags to the config is pinned too): sacrifice evicts and then
+    readmits, downgrade escalates and restores."""
+
+    PINS = {
+        "downgrade": (
+            "918c74c25e4999bc87b729ffa37680ce44e9a79f7ed638518057751a7844e89d"
+        ),
+        "sacrifice": (
+            "1335e15ec09a57729483d20c769fe898ac335c44f45eea33b430fc5e3eadda5e"
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(PINS))
+    def test_fingerprint_is_pinned(self, policy, tmp_path, capsys):
+        report = tmp_path / "serve.json"
+        assert main([
+            "serve", "--duration", "30", "--load", "1.5",
+            "--controller", "always", "--capacity-multiple", "20",
+            "--initial-calls", "25", "--overload-policy", policy,
+            "--snapshot-every", "5", "--seed", "13",
+            "--report", str(report),
+        ]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["fingerprint"] == self.PINS[policy]
+        section = payload["overload"]
+        if policy == "sacrifice":
+            assert section["sacrificed"] > 0
+            assert section["readmitted"] > 0
+        else:
+            assert section["escalations"] > 0
+            assert section["restorations"] > 0
 
 
 class TestPolicyComparison:

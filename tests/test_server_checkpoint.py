@@ -15,13 +15,16 @@ import signal
 import numpy as np
 import pytest
 
+from repro.core.online import OnlineParams
 from repro.faults.injectors import FaultPlan
+from repro.perf.cache import fingerprint
 from repro.server import ServerConfig, build_gateway
 from repro.server.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
     ServeLifecycle,
     StaleCheckpointError,
+    config_fingerprint,
     read_checkpoint,
     read_checkpoint_meta,
     write_checkpoint,
@@ -483,6 +486,37 @@ class TestStaleness:
         self.write(workload, path)
         with pytest.raises(StaleCheckpointError, match="config hash"):
             read_checkpoint(path, config(workload, seed=12))
+
+    def test_online_params_mismatch_is_refused(self, workload, tmp_path):
+        """The heuristic's parameters are part of the stamp: a checkpoint
+        saved under one AR(1) coefficient does not resume under another."""
+        path = tmp_path / "gw.ckpt"
+        plain = config(workload)
+
+        def with_ar(coefficient):
+            return config(
+                workload,
+                online_params=OnlineParams(
+                    granularity=plain.granularity,
+                    max_rate=plain.capacity,
+                    ar_coefficient=coefficient,
+                ),
+            )
+
+        with build_gateway(workload, with_ar(0.9)) as gateway:
+            gateway.run(1.0)
+            gateway.save(path)
+        with build_gateway(workload, with_ar(0.5)) as gateway:
+            with pytest.raises(StaleCheckpointError, match="config hash"):
+                gateway.restore(path)
+        with build_gateway(workload, with_ar(0.9)) as gateway:
+            gateway.restore(path)
+
+    def test_config_without_online_params_keeps_its_hash(self, workload):
+        """Checkpoints stamped before ``online_params`` was hashed still
+        restore: an unset field adds nothing to the stamp."""
+        plain = config(workload)
+        assert config_fingerprint(plain) == fingerprint(plain.to_dict())
 
     def test_code_version_mismatch_is_refused(
         self, workload, tmp_path, monkeypatch
